@@ -262,17 +262,17 @@ def _write_run_csv(path, record) -> None:
 
 def _cmd_eval(args) -> int:
     import os.path as osp
+    from dataclasses import replace as dc_replace
 
     import numpy as np
 
-    from .autodiff import Tensor
     from .config import apply_settings, parse_kv_file
     from .augment import AugmentConfig, validation_transform
     from .datastore import read_checkpoint, read_dataset, read_stats
     from .metrics import compute_metrics
     from .models import build_model
     from .rng import stream
-    from .train import TrainConfig
+    from .train import TrainConfig, _forward_batches, _softmax_scores
 
     config_path = args.config or osp.join(osp.dirname(args.checkpoint) or ".", "run_config.txt")
     settings = parse_kv_file(config_path)
@@ -286,15 +286,11 @@ def _cmd_eval(args) -> int:
 
     model = build_model(model_kind, aug_cfg.out_size, stream(0, "init"), **kwargs)
     model.registry.load_state_dict(read_checkpoint(args.checkpoint))
+    aug_cfg = dc_replace(aug_cfg, imagenet_normalize=model.uses_imagenet_norm)  # as fit does
 
     inputs = np.stack([validation_transform(w, stats, aug_cfg) for w in windows])
     labels = np.array([w.label for w in windows], dtype=np.int64)
-    logits = []
-    for start in range(0, inputs.shape[0], train_cfg.batch_size):
-        logits.append(model.forward(Tensor(inputs[start:start + train_cfg.batch_size])).data)
-    logits = np.concatenate(logits, axis=0)
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    scores = (np.exp(shifted) / np.exp(shifted).sum(axis=1, keepdims=True))[:, 1]
+    scores = _softmax_scores(_forward_batches(model, inputs, train_cfg.batch_size))
     report = compute_metrics(scores, labels)
     print(f"accuracy  {report.accuracy:.4f}")
     print(f"precision {report.precision:.4f}")
@@ -302,6 +298,9 @@ def _cmd_eval(args) -> int:
     print(f"f1        {report.f1:.4f}")
     print(f"roc_auc   {report.roc_auc:.4f}")
     print(f"confusion [[tn fp] [fn tp]] = {report.confusion.tolist()}")
+    if report.degenerate:
+        print("warning: degenerate metrics: no positive predictions or no positive "
+              "labels, so precision or recall has a zero denominator and reads 0")
     return EXIT_OK
 
 

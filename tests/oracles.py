@@ -4,6 +4,8 @@ These deliberately avoid the library's composed functions: each oracle is a
 single block of inline numpy so the production chain is checked against a
 second, structurally different derivation of the same published formulas.
 """
+import math
+
 import numpy as np
 
 
@@ -42,3 +44,114 @@ def pairwise_auc(scores, labels) -> float:
     wins = (pos[:, None] > neg[None, :]).sum()
     ties = (pos[:, None] == neg[None, :]).sum()
     return (wins + 0.5 * ties) / (len(pos) * len(neg))
+
+
+# Dense augmentation references: the whole-frame bilinear sampler, rotation
+# and color jitter that ``qgjet.augment`` replaced with support-only work.
+# The library must reproduce them bit for bit.
+
+_LUMA = np.array([0.299, 0.587, 0.114], dtype=np.float64)
+
+
+def dense_sample_grid(image: np.ndarray, src_y: np.ndarray, src_x: np.ndarray,
+                      zero_fill: bool) -> np.ndarray:
+    """4-tap bilinear lookup of an HWC float image at every grid point."""
+    h, w = image.shape[:2]
+    y0 = np.floor(src_y).astype(np.int64)
+    x0 = np.floor(src_x).astype(np.int64)
+    fy = (src_y - y0)[..., None]
+    fx = (src_x - x0)[..., None]
+
+    def tap(yy, xx):
+        vals = image[np.clip(yy, 0, h - 1), np.clip(xx, 0, w - 1)]
+        if zero_fill:
+            valid = (yy >= 0) & (yy < h) & (xx >= 0) & (xx < w)
+            return np.where(valid[..., None], vals, 0.0)
+        return vals
+
+    top = tap(y0, x0) * (1 - fx) + tap(y0, x0 + 1) * fx
+    bot = tap(y0 + 1, x0) * (1 - fx) + tap(y0 + 1, x0 + 1) * fx
+    return top * (1 - fy) + bot * fy
+
+
+def dense_resize_hwc(image: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
+    h, w = image.shape[:2]
+    ys = (np.arange(out_h, dtype=np.float64) + 0.5) * (h / out_h) - 0.5
+    xs = (np.arange(out_w, dtype=np.float64) + 0.5) * (w / out_w) - 0.5
+    grid_y, grid_x = np.meshgrid(ys, xs, indexing="ij")
+    return dense_sample_grid(image.astype(np.float64), grid_y, grid_x, zero_fill=False)
+
+
+def dense_rotate_by(image: np.ndarray, theta: float) -> np.ndarray:
+    img = np.asarray(image, dtype=np.float64)
+    h, w = img.shape[:2]
+    cy, cx = (h - 1) / 2.0, (w - 1) / 2.0
+    ys, xs = np.meshgrid(np.arange(h, dtype=np.float64) - cy,
+                         np.arange(w, dtype=np.float64) - cx, indexing="ij")
+    cos_t, sin_t = math.cos(theta), math.sin(theta)
+    src_y = cy + ys * cos_t - xs * sin_t
+    src_x = cx + ys * sin_t + xs * cos_t
+    return dense_sample_grid(img, src_y, src_x, zero_fill=True)
+
+
+def dense_rgb_to_hsv(rgb: np.ndarray) -> np.ndarray:
+    mx = rgb.max(axis=-1)
+    mn = rgb.min(axis=-1)
+    delta = mx - mn
+    safe = delta > 0
+    r, g, b = rgb[..., 0], rgb[..., 1], rgb[..., 2]
+    with np.errstate(invalid="ignore", divide="ignore"):
+        rc = np.where(safe, (mx - r) / delta, 0.0)
+        gc = np.where(safe, (mx - g) / delta, 0.0)
+        bc = np.where(safe, (mx - b) / delta, 0.0)
+    h = np.zeros_like(mx)
+    h = np.where(mx == r, bc - gc, h)
+    h = np.where(mx == g, 2.0 + rc - bc, h)
+    h = np.where(mx == b, 4.0 + gc - rc, h)
+    h = np.where(safe, (h / 6.0) % 1.0, 0.0)
+    s = np.where(mx > 0, delta / np.where(mx > 0, mx, 1.0), 0.0)
+    return np.stack([h, s, mx], axis=-1)
+
+
+def stacked_hsv_to_rgb(hsv: np.ndarray) -> np.ndarray:
+    """All six sector candidates stacked, then one gather by sector."""
+    h, s, v = hsv[..., 0], hsv[..., 1], hsv[..., 2]
+    i = np.floor(h * 6.0)
+    f = h * 6.0 - i
+    p = v * (1.0 - s)
+    q = v * (1.0 - s * f)
+    t = v * (1.0 - s * (1.0 - f))
+    i = i.astype(np.int64) % 6
+    choices = np.stack([
+        np.stack([v, t, p], axis=-1),
+        np.stack([q, v, p], axis=-1),
+        np.stack([p, v, t], axis=-1),
+        np.stack([p, q, v], axis=-1),
+        np.stack([t, p, v], axis=-1),
+        np.stack([v, p, q], axis=-1),
+    ], axis=0)
+    return np.take_along_axis(choices, i[None, ..., None], axis=0)[0]
+
+
+def dense_color_jitter(image: np.ndarray, jitter_bcs: float, jitter_hue: float,
+                       rng: np.random.Generator) -> np.ndarray:
+    """Every pixel through brightness, contrast, saturation and hue in the
+    drawn order, clamping to 0..255 after each stage."""
+    x = np.asarray(image, dtype=np.float64)
+    j = jitter_bcs
+    for idx in rng.permutation(4):
+        if idx == 0:
+            x = x * rng.uniform(1.0 - j, 1.0 + j)
+        elif idx == 1:
+            f = rng.uniform(1.0 - j, 1.0 + j)
+            x = f * x + (1.0 - f) * (x @ _LUMA).mean()
+        elif idx == 2:
+            f = rng.uniform(1.0 - j, 1.0 + j)
+            x = f * x + (1.0 - f) * (x @ _LUMA)[..., None]
+        else:
+            shift = rng.uniform(-jitter_hue, jitter_hue)
+            hsv = dense_rgb_to_hsv(x / 255.0)
+            hsv[..., 0] = (hsv[..., 0] + shift) % 1.0
+            x = stacked_hsv_to_rgb(hsv) * 255.0
+        x = np.clip(x, 0.0, 255.0)
+    return x

@@ -6,12 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from qgjet.augment import (IMAGENET_MEAN, IMAGENET_STD, AugmentConfig,
-                           bilinear_resize_chw, color_jitter, imagenet_denormalize,
-                           imagenet_normalize, mixup, random_hflip,
-                           random_resized_crop, random_rotate, rotate_by,
-                           sample_crop_rect, to_float, to_uint8, train_transform,
-                           validation_transform)
+from oracles import (dense_color_jitter, dense_resize_hwc, dense_rotate_by,
+                     stacked_hsv_to_rgb)
+from qgjet.augment import (IMAGENET_MEAN, IMAGENET_STD, AugmentConfig, _hsv_to_rgb,
+                           _resize_hwc, bilinear_resize_chw, color_jitter,
+                           imagenet_denormalize, imagenet_normalize, mixup,
+                           random_hflip, random_resized_crop, random_rotate,
+                           rotate_by, sample_crop_rect, to_float, to_uint8,
+                           train_transform, validation_transform)
 from qgjet.preprocess import compute_channel_stats
 from qgjet.rng import stream
 
@@ -311,3 +313,99 @@ class TestTransforms:
         a = validation_transform(windows[3], stats, cfg)
         b = validation_transform(windows[3], stats, raw)
         assert a == pytest.approx(imagenet_normalize(b), abs=1e-6)
+
+
+SPARSITY = ("zero", "single", "partial_channels", "sparse", "signed_zero", "dense")
+
+
+def sparse_image(seed: int, h: int, w: int, mode: str) -> np.ndarray:
+    """HWC float64 image in 0..255 with the requested support."""
+    rng = np.random.default_rng(seed)
+    img = np.zeros((h, w, 3))
+    if mode == "single":
+        img[rng.integers(h), rng.integers(w)] = rng.integers(1, 256, size=3)
+    elif mode == "partial_channels":
+        hot = rng.random((h, w)) < 0.2
+        vals = rng.integers(0, 256, size=(h, w, 3)) * (rng.random((h, w, 3)) < 0.5)
+        img[hot] = vals[hot]
+    elif mode == "sparse":
+        hot = rng.random((h, w)) < 0.05
+        img[hot] = (rng.random((h, w, 3)) * 255)[hot]
+    elif mode == "signed_zero":  # -0.0 is not +0.0 bit for bit
+        hot = rng.random((h, w)) < 0.2
+        img[hot] = -0.0
+        img[rng.random((h, w)) < 0.05] = 17.0
+    elif mode == "dense":
+        img = rng.random((h, w, 3)) * 255
+    return img
+
+
+images = st.builds(sparse_image, st.integers(0, 2**32 - 1), st.integers(1, 37),
+                   st.integers(1, 37), st.sampled_from(SPARSITY))
+
+
+class TestSparseMatchesDenseOracle:
+    """The support-only paths reproduce the dense references bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(images, st.floats(-2 * math.pi, 2 * math.pi))
+    def test_rotate_by(self, img, theta):
+        assert rotate_by(img, theta).tobytes() == dense_rotate_by(img, theta).tobytes()
+
+    @pytest.mark.parametrize("deg", (0.0, 20.0, -20.0, 45.0, 90.0, 180.0, -135.0))
+    @pytest.mark.parametrize("mode", SPARSITY)
+    def test_rotate_by_named_angles(self, mode, deg):
+        img = sparse_image(3, 23, 31, mode)
+        theta = math.radians(deg)
+        assert rotate_by(img, theta).tobytes() == dense_rotate_by(img, theta).tobytes()
+
+    @settings(max_examples=150, deadline=None)
+    @given(images, st.integers(0, 2**32 - 1), st.sampled_from((0.0, 0.2, 0.9)),
+           st.sampled_from((0.0, 0.1, 0.5)))
+    def test_color_jitter(self, img, seed, bcs, hue):
+        cfg = AugmentConfig(jitter_bcs=bcs, jitter_hue=hue)
+        ours_rng, ref_rng = stream(seed, "jitter"), stream(seed, "jitter")
+        ours = color_jitter(img, cfg, ours_rng)
+        ref = dense_color_jitter(img, bcs, hue, ref_rng)
+        assert ours.tobytes() == ref.tobytes()
+        assert ours_rng.random() == ref_rng.random()  # same draws consumed
+
+    def test_color_jitter_every_stage_order(self):
+        seen = set()
+        for seed in range(120):
+            order = tuple(rng_for("order", seed).permutation(4))
+            seen.add(order)
+            img = sparse_image(seed, 19, 26, SPARSITY[seed % len(SPARSITY)])
+            ours = color_jitter(img, CFG, rng_for("order", seed))
+            ref = dense_color_jitter(img, CFG.jitter_bcs, CFG.jitter_hue, rng_for("order", seed))
+            assert ours.tobytes() == ref.tobytes(), order
+        assert len(seen) == 24
+
+    @settings(max_examples=100, deadline=None)
+    @given(images, st.integers(0, 2**32 - 1), st.sampled_from((1, 7, 32, 50)))
+    def test_random_resized_crop(self, img, seed, out_size):
+        cfg = AugmentConfig(out_size=out_size)
+        src = np.rint(img).astype(np.uint8)
+        ours = random_resized_crop(src, cfg, stream(seed, "rrc"))
+        top, left, ch, cw = sample_crop_rect(src.shape[0], src.shape[1], cfg, stream(seed, "rrc"))
+        ref = dense_resize_hwc(src[top:top + ch, left:left + cw], out_size, out_size)
+        assert ours.tobytes() == ref.tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(images, st.integers(1, 40), st.integers(1, 40))
+    def test_resize_non_square_output(self, img, out_h, out_w):
+        assert _resize_hwc(img, out_h, out_w).tobytes() == dense_resize_hwc(img, out_h, out_w).tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(images, st.sampled_from((1, 9, 64, 125)))
+    def test_bilinear_resize_chw(self, img, out_size):
+        chw = np.ascontiguousarray(np.transpose(img / 255.0, (2, 0, 1)), dtype=np.float32)
+        ref = dense_resize_hwc(np.transpose(chw, (1, 2, 0)), out_size, out_size)
+        ref = np.ascontiguousarray(np.transpose(ref, (2, 0, 1)), dtype=np.float32)
+        assert bilinear_resize_chw(chw, out_size).tobytes() == ref.tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(hnp.arrays(np.float64, (5, 7, 3), elements=st.floats(0, 1)))
+    def test_hsv_to_rgb(self, hsv):
+        hsv[0, :, 0] = np.arange(7) / 6.0  # every sector boundary and the wrap at 1
+        assert _hsv_to_rgb(hsv).tobytes() == stacked_hsv_to_rgb(hsv).tobytes()
