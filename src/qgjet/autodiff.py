@@ -54,21 +54,6 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
 
-    def __add__(self, other):
-        return add(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __sub__(self, other):
-        return add(self, mul(other, -1.0))
-
 
 class Tape:
     """Ordered record of operations; inputs always precede their consumers."""
@@ -87,10 +72,6 @@ class Tape:
         global _active_tape
         _active_tape = None
         return False
-
-
-def active_tape() -> Tape | None:
-    return _active_tape
 
 
 def _as_tensor(x) -> Tensor:
@@ -480,20 +461,11 @@ class ParameterRegistry:
         self._entries[name] = ParamEntry(tensor, trainable, group)
         return tensor
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._entries
-
     def __getitem__(self, name: str) -> ParamEntry:
         return self._entries[name]
 
-    def names(self):
-        return list(self._entries)
-
     def items(self):
         return self._entries.items()
-
-    def entries(self):
-        return self._entries.values()
 
     def set_trainable(self, prefix: str, trainable: bool, group: str | None = None) -> int:
         """Flip every parameter under ``prefix``; returns scalar count touched."""

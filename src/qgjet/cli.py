@@ -54,7 +54,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True, help="directory holding train.jqg and val.jqg")
     p.add_argument("--model", choices=("vit", "conv", "hybrid2", "hybrid3"), required=True)
     p.add_argument("--config", help="key = value configuration file")
-    p.add_argument("--seeds", type=int, default=3, help="number of seeds to run")
+    p.add_argument("--seeds", type=int,
+                   help="run seeds 1..N (default: the seeds setting, 1,2,3 unless configured)")
     p.add_argument("--out", required=True)
     p.add_argument("--set", dest="overrides", action="append", default=[],
                    metavar="KEY=VALUE", help="override a config entry")
@@ -84,58 +85,31 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_configs(args):
-    from .config import apply_settings, parse_kv_file
-    from .augment import AugmentConfig
-    from .train import TrainConfig
+def _read_settings(args) -> dict[str, str]:
+    """The --config file's settings, then each --set override on top."""
+    from .config import parse_kv_file
 
     settings: dict[str, str] = {}
-    if getattr(args, "config", None):
+    if args.config:
         settings.update(parse_kv_file(args.config))
-    for item in getattr(args, "overrides", []):
+    for item in args.overrides:
         if "=" not in item:
             raise UsageError(f"--set expects KEY=VALUE, got {item!r}")
         key, value = item.split("=", 1)
         settings[key.strip()] = value.strip()
+    return settings
+
+
+def _resolve(settings: dict[str, str]):
+    from .augment import AugmentConfig
+    from .config import apply_settings
+    from .train import TrainConfig
+
     return apply_settings(TrainConfig(), AugmentConfig(), settings)
 
 
 class UsageError(ValueError):
     pass
-
-
-def _model_kwargs(model_overrides: dict[str, str], out_size: int):
-    """model.* keys -> factory kwargs for the selected architecture."""
-    from dataclasses import fields, replace
-    from .models import ConvConfig, HybridConfig, ViTConfig
-
-    kwargs = {}
-    groups = {"vit": (ViTConfig, "vit_cfg"), "conv": (ConvConfig, "conv_cfg"),
-              "hybrid": (HybridConfig, "hybrid_cfg")}
-    for key, raw in model_overrides.items():
-        if "." not in key:
-            raise UsageError(f"model settings use model.<arch>.<field>, got model.{key}")
-        arch, name = key.split(".", 1)
-        if arch not in groups:
-            raise UsageError(f"unknown architecture group model.{arch}")
-        cls, kw = groups[arch]
-        cfg = kwargs.get(kw) or cls()
-        valid = {f.name: f.type for f in fields(cls)}
-        if name not in valid:
-            raise UsageError(f"unknown field model.{arch}.{name}")
-        current = getattr(cfg, name)
-        if isinstance(current, tuple):
-            value = tuple(int(v) for v in raw.split(","))
-        elif isinstance(current, bool):
-            value = raw.lower() in ("1", "true", "yes", "on")
-        elif isinstance(current, int):
-            value = int(raw)
-        elif isinstance(current, float):
-            value = float(raw)
-        else:
-            value = raw
-        kwargs[kw] = replace(cfg, **{name: value})
-    return kwargs
 
 
 def _cmd_synth(args) -> int:
@@ -188,21 +162,17 @@ def _cmd_train(args) -> int:
     import os.path as osp
     from dataclasses import replace as dc_replace
 
-    import numpy as np
-
-    from .autodiff import Tensor
     from .config import format_resolved
     from .datastore import (read_stats, write_checkpoint, write_metrics_csv, write_stats)
-    from .metrics import aggregate_seeds, measure_inference_ms
     from .models import build_model
     from .preprocess import compute_channel_stats
     from .rng import stream
-    from .train import fit
+    from .train import fit, results_row
 
-    train_cfg, aug_cfg, model_overrides = _resolve_configs(args)
-    if args.seeds != len(train_cfg.seeds):
+    settings = _read_settings(args)
+    train_cfg, aug_cfg, kwargs = _resolve(settings)
+    if args.seeds is not None and args.seeds != len(train_cfg.seeds):
         train_cfg = dc_replace(train_cfg, seeds=tuple(range(1, args.seeds + 1)))
-    kwargs = _model_kwargs(model_overrides, aug_cfg.out_size)
 
     train_windows, val_windows = _load_split(args.data)
     stats_path = osp.join(args.data, "stats.txt")
@@ -213,7 +183,7 @@ def _cmd_train(args) -> int:
     with open(osp.join(args.out, "run_config.txt"), "w") as f:
         f.write(format_resolved(train_cfg, aug_cfg,
                                 {"model": args.model,
-                                 **{f"model.{k}": v for k, v in model_overrides.items()}}))
+                                 **{k: v for k, v in settings.items() if k.startswith("model.")}}))
 
     reports, records = [], []
     last_model = None
@@ -229,13 +199,7 @@ def _cmd_train(args) -> int:
         print(f"seed {seed}: best epoch {record.best_epoch} "
               f"val_loss {record.best_val_loss:.4f} auc {report.roc_auc:.4f}")
 
-    inference_ms = measure_inference_ms(
-        lambda img: last_model.forward(Tensor(img)),
-        (3, aug_cfg.out_size, aug_cfg.out_size))
-    rows = [{"model": args.model, "aggregate": aggregate_seeds(reports),
-             "params": records[0].total_params,
-             "train_seconds": float(np.mean([r.train_seconds for r in records])),
-             "inference_ms": inference_ms}]
+    rows = [results_row(args.model, last_model, records, reports, aug_cfg.out_size)]
     write_metrics_csv(rows, osp.join(args.out, "metrics.csv"))
     print(f"wrote {osp.join(args.out, 'metrics.csv')}")
     return EXIT_OK
@@ -266,19 +230,20 @@ def _cmd_eval(args) -> int:
 
     import numpy as np
 
-    from .config import apply_settings, parse_kv_file
-    from .augment import AugmentConfig, validation_transform
-    from .datastore import read_checkpoint, read_dataset, read_stats
+    from .config import parse_kv_file
+    from .augment import validation_transform
+    from .datastore import DataFormatError, read_checkpoint, read_dataset, read_stats
     from .metrics import compute_metrics
     from .models import build_model
     from .rng import stream
-    from .train import TrainConfig, _forward_batches, _softmax_scores
+    from .train import _forward_batches, _softmax_scores
 
     config_path = args.config or osp.join(osp.dirname(args.checkpoint) or ".", "run_config.txt")
     settings = parse_kv_file(config_path)
+    if "model" not in settings:
+        raise DataFormatError(f"{config_path} has no 'model' entry naming the architecture")
     model_kind = settings.pop("model")
-    train_cfg, aug_cfg, model_overrides = apply_settings(TrainConfig(), AugmentConfig(), settings)
-    kwargs = _model_kwargs(model_overrides, aug_cfg.out_size)
+    train_cfg, aug_cfg, kwargs = _resolve(settings)
 
     stats_path = args.stats or osp.join(osp.dirname(args.checkpoint) or ".", "stats.txt")
     stats = read_stats(stats_path)
@@ -311,8 +276,7 @@ def _cmd_sweep(args) -> int:
     from .preprocess import compute_channel_stats
     from .sweep import parse_values, run_sweep
 
-    train_cfg, aug_cfg, model_overrides = _resolve_configs(args)
-    kwargs = _model_kwargs(model_overrides, aug_cfg.out_size)
+    train_cfg, aug_cfg, kwargs = _resolve(_read_settings(args))
     values = parse_values(args.axis, [v for v in args.values.split(",") if v])
 
     train_windows, val_windows = _load_split(args.data)

@@ -1,9 +1,12 @@
 """Line-based ``key = value`` run configuration with ``#`` comments.
 
 Keys address TrainConfig fields directly, AugmentConfig fields under
-``aug.``, and model hyperparameters under ``model.``. Command-line
-overrides win over file values; every run emits the fully-resolved
-configuration next to its outputs.
+``aug.``, and model hyperparameters under ``model.<arch>.<field>``, where
+``<arch>`` is ``vit``, ``conv`` or ``hybrid``. ``apply_settings`` resolves
+all three here, the ``model.`` keys into ``build_model`` keyword arguments,
+and ``_coerce`` turns every value's text into its field's type.
+Command-line overrides win over file values; every run emits the
+fully-resolved configuration next to its outputs.
 """
 from __future__ import annotations
 
@@ -11,7 +14,12 @@ import dataclasses
 from dataclasses import replace
 
 from .augment import AugmentConfig
+from .models import ConvConfig, HybridConfig, ViTConfig
 from .train import TrainConfig
+
+# model.<arch> -> (config class, build_model keyword)
+MODEL_GROUPS = {"vit": (ViTConfig, "vit_cfg"), "conv": (ConvConfig, "conv_cfg"),
+                "hybrid": (HybridConfig, "hybrid_cfg")}
 
 
 def parse_kv_file(path) -> dict[str, str]:
@@ -55,14 +63,26 @@ def _coerce(current, text: str):
 
 def apply_settings(train_cfg: TrainConfig, aug_cfg: AugmentConfig,
                    settings: dict[str, str]):
-    """Resolve flat settings onto the config dataclasses; ``model.*`` keys
-    are returned untouched for the model factory."""
-    model_overrides: dict[str, str] = {}
+    """Resolve flat settings onto the config dataclasses.
+
+    Returns (train config, augment config, ``build_model`` keyword arguments
+    from the ``model.*`` keys).
+    """
+    model_kwargs: dict = {}
     train_fields = {f.name for f in dataclasses.fields(TrainConfig)}
     aug_fields = {f.name for f in dataclasses.fields(AugmentConfig)}
     for key, value in settings.items():
         if key.startswith("model."):
-            model_overrides[key.removeprefix("model.")] = value
+            arch, _, name = key.removeprefix("model.").partition(".")
+            if not name:
+                raise ValueError(f"model settings use model.<arch>.<field>, got {key}")
+            if arch not in MODEL_GROUPS:
+                raise ValueError(f"unknown architecture group model.{arch}")
+            cls, kw = MODEL_GROUPS[arch]
+            cfg = model_kwargs.get(kw) or cls()
+            if name not in {f.name for f in dataclasses.fields(cls)}:
+                raise ValueError(f"unknown field model.{arch}.{name}")
+            model_kwargs[kw] = replace(cfg, **{name: _coerce(getattr(cfg, name), value)})
         elif key.startswith("aug."):
             name = key.removeprefix("aug.")
             if name not in aug_fields:
@@ -72,7 +92,7 @@ def apply_settings(train_cfg: TrainConfig, aug_cfg: AugmentConfig,
             if key not in train_fields:
                 raise ValueError(f"unknown training setting: {key}")
             train_cfg = replace(train_cfg, **{key: _coerce(getattr(train_cfg, key), value)})
-    return train_cfg, aug_cfg, model_overrides
+    return train_cfg, aug_cfg, model_kwargs
 
 
 def _format_value(value) -> str:

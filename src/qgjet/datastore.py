@@ -13,7 +13,6 @@ data.
 from __future__ import annotations
 
 import csv
-import io
 import struct
 
 import numpy as np
@@ -185,16 +184,6 @@ def write_pgm(path, image: np.ndarray) -> None:
         f.write(np.ascontiguousarray(image, dtype=np.uint8).tobytes())
 
 
-def read_pgm(path) -> np.ndarray:
-    with open(path, "rb") as f:
-        raw = f.read()
-    parts = raw.split(b"\n", 3)
-    if parts[0] != b"P5":
-        raise DataFormatError("not a binary PGM file")
-    w, h = (int(v) for v in parts[1].split())
-    return np.frombuffer(parts[3], dtype=np.uint8, count=h * w).reshape(h, w)
-
-
 def format_mean_std(mean: float, std: float) -> str:
     return f"{mean:.4f}±{std:.4f}"
 
@@ -218,20 +207,3 @@ def write_metrics_csv(rows: list[dict], path) -> None:
                 f"{row['train_seconds']:.1f}",
                 f"{row['inference_ms']:.2f}",
             ])
-
-
-def parse_metrics_csv(path) -> list[dict]:
-    with open(path, newline="") as f:
-        reader = csv.reader(f)
-        header = next(reader)
-        if tuple(header) != CSV_COLUMNS:
-            raise DataFormatError("unexpected metrics CSV header")
-        rows = []
-        for raw in reader:
-            agg = {}
-            for name, cell in zip(("accuracy", "precision", "recall", "f1", "roc_auc"), raw[1:6]):
-                mean_s, std_s = cell.split("±")
-                agg[name] = (float(mean_s), float(std_s))
-            rows.append({"model": raw[0], "aggregate": agg, "params": int(raw[6]),
-                         "train_seconds": float(raw[7]), "inference_ms": float(raw[8])})
-    return rows

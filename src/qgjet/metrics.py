@@ -19,7 +19,6 @@ class MetricReport:
     f1: float
     roc_auc: float
     confusion: np.ndarray = field(default_factory=lambda: np.zeros((2, 2), dtype=np.int64))
-    inference_ms_per_image: float = 0.0
     degenerate: bool = False
 
     def values(self) -> dict[str, float]:

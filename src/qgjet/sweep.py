@@ -4,13 +4,11 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-from .autodiff import Tensor
 from .augment import AugmentConfig
-from .metrics import aggregate_seeds, measure_inference_ms
 from .models import HybridConfig, ViTConfig, build_model
 from .optim import OPTIMIZER_KINDS
 from .rng import stream
-from .train import TrainConfig, fit
+from .train import TrainConfig, fit, results_row
 
 SWEEP_AXES = ("dataset_size", "model_size", "batch_size", "learning_rate",
               "optimizer", "weight_decay", "epochs", "dropout")
@@ -83,14 +81,6 @@ def run_sweep(train_windows, val_windows, model_kind: str, base_train: TrainConf
         model = build_model(model_kind, base_aug.out_size, stream(seed, "init"), **kwargs)
         record, _, report = fit(subset, val_windows, model_kind, train_cfg,
                                 base_aug, seed, stats=stats, model=model)
-        inference_ms = measure_inference_ms(
-            lambda img: model.forward(Tensor(img)),
-            (3, base_aug.out_size, base_aug.out_size))
-        rows.append({
-            "model": f"{model_kind} {axis}={value}",
-            "aggregate": aggregate_seeds([report]),
-            "params": record.total_params,
-            "train_seconds": record.train_seconds,
-            "inference_ms": inference_ms,
-        })
+        rows.append(results_row(f"{model_kind} {axis}={value}", model, [record], [report],
+                                base_aug.out_size))
     return rows

@@ -6,6 +6,7 @@ metric snapshots. The default mode trains everything from scratch; staged
 mode starts with the backbone frozen and unfreezes per the schedule."""
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field, replace
 
@@ -14,7 +15,7 @@ import numpy as np
 from . import autodiff as ad
 from .augment import AugmentConfig, mixup, train_transform, validation_transform
 from .detector import JetWindow
-from .metrics import MetricReport, compute_metrics
+from .metrics import MetricReport, aggregate_seeds, compute_metrics, measure_inference_ms
 from .models import build_model
 from .optim import OPTIMIZER_KINDS, Optimizer, cosine_lr
 from .preprocess import ChannelStats, PreprocConfig, compute_channel_stats, preprocess_window
@@ -78,6 +79,10 @@ class RunRecord:
         return self.epochs[self.best_epoch].val_loss
 
 
+class NonFiniteLoss(FloatingPointError):
+    """A training step or validation pass produced a NaN or infinite loss."""
+
+
 def early_stop_check(val_losses, patience: int) -> str:
     """STOP once the best (minimum) validation loss is more than ``patience``
     epochs old."""
@@ -87,22 +92,15 @@ def early_stop_check(val_losses, patience: int) -> str:
     return STOP if (len(val_losses) - 1 - best) > patience else CONTINUE
 
 
-def apply_unfreeze_schedule(epoch: int, model, config: TrainConfig) -> int:
+def apply_unfreeze_schedule(epoch: int, model, config: TrainConfig) -> None:
     """Make the last-n backbone blocks trainable at their scheduled epochs
-    (idempotent); unfrozen parameters join the low-rate group. Returns the
-    scalar count of parameters whose state changed."""
+    (idempotent); unfrozen parameters join the low-rate group. Staged mode
+    froze every block with the backbone before the first epoch."""
     blocks = model.block_prefixes()
-    changed = 0
     for at_epoch, n_last in config.unfreeze_schedule:
         if epoch >= at_epoch:
             for prefix in blocks[-n_last:]:
-                for name, entry in model.registry.items():
-                    if name == prefix or name.startswith(prefix + "."):
-                        if not entry.trainable:
-                            entry.trainable = True
-                            entry.group = UNFROZEN_GROUP
-                            changed += entry.tensor.size
-    return changed
+                model.registry.set_trainable(prefix, True, UNFROZEN_GROUP)
 
 
 def _one_hot(labels: np.ndarray, k: int = 2) -> np.ndarray:
@@ -123,6 +121,17 @@ def _softmax_scores(logits: np.ndarray) -> np.ndarray:
     shifted = logits - logits.max(axis=1, keepdims=True)
     e = np.exp(shifted)
     return (e / e.sum(axis=1, keepdims=True))[:, 1]
+
+
+def results_row(label: str, model, records: list[RunRecord],
+                reports: list[MetricReport], image_size: int) -> dict:
+    """One metrics-CSV row: the seed aggregate, the parameter count, the mean
+    training seconds and the single-image inference milliseconds of ``model``."""
+    return {"model": label, "aggregate": aggregate_seeds(reports),
+            "params": records[0].total_params,
+            "train_seconds": float(np.mean([r.train_seconds for r in records])),
+            "inference_ms": measure_inference_ms(lambda img: model.forward(ad.Tensor(img)),
+                                                 (3, image_size, image_size))}
 
 
 def fit(train_windows: list[JetWindow], val_windows: list[JetWindow], model_kind: str,
@@ -197,15 +206,21 @@ def fit(train_windows: list[JetWindow], val_windows: list[JetWindow], model_kind
             with ad.Tape() as tape:
                 logits = model.forward(ad.Tensor(batch), ad.TRAIN, drop_rng)
                 loss = ad.cross_entropy_soft(logits, ad.Tensor(labels))
+            step_loss = float(loss.data)
+            if not math.isfinite(step_loss):
+                raise NonFiniteLoss(f"training loss is {step_loss} at epoch {epoch}, "
+                                    f"step {record.optimizer_steps + 1}")
             optimizer.zero_grad()
             ad.backward(tape, loss)
             optimizer.step()
             record.optimizer_steps += 1
-            loss_sum += float(loss.data) * len(idx)
+            loss_sum += step_loss * len(idx)
         train_loss = loss_sum / n
 
         val_logits = _forward_batches(model, val_inputs, config.batch_size)
         val_loss = float(ad.cross_entropy_soft(ad.Tensor(val_logits), ad.Tensor(val_onehot)).data)
+        if not math.isfinite(val_loss):
+            raise NonFiniteLoss(f"validation loss is {val_loss} at epoch {epoch}")
         report = compute_metrics(_softmax_scores(val_logits), val_labels)
         val_losses.append(val_loss)
 
@@ -224,17 +239,3 @@ def fit(train_windows: list[JetWindow], val_windows: list[JetWindow], model_kind
 
     record.train_seconds = time.perf_counter() - t_start
     return record, best_state, best_report
-
-
-def fit_seeds(train_windows, val_windows, model_kind: str, config: TrainConfig,
-              aug: AugmentConfig, stats: ChannelStats | None = None,
-              preproc: PreprocConfig = PreprocConfig()):
-    """Run every configured seed; returns (records, states, reports)."""
-    records, states, reports = [], [], []
-    for seed in config.seeds:
-        record, state, report = fit(train_windows, val_windows, model_kind,
-                                    config, aug, seed, stats, preproc)
-        records.append(record)
-        states.append(state)
-        reports.append(report)
-    return records, states, reports
