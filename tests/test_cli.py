@@ -101,3 +101,38 @@ def test_eval_without_model_entry_is_a_data_error(trained, data_dir, tmp_path, c
     assert main(["eval", "--checkpoint", str(trained / "model_seed1.ckpt"),
                  "--data", str(data_dir / "val.jqg"), "--config", str(config)]) == EXIT_DATA
     assert str(config) in capsys.readouterr().err
+
+
+def _flat_dataset(path):
+    from qgjet.datastore import write_dataset
+    from qgjet.detector import JetWindow
+
+    flat = np.zeros((3, 125, 125), dtype=np.float32)
+    write_dataset(path, [JetWindow(flat, label=0), JetWindow(flat, label=1)])
+    return path
+
+
+@pytest.mark.parametrize("case, code", [
+    ("degenerate_channel", EXIT_NUMERIC),
+    ("bad_magic", EXIT_DATA),
+    ("missing_train", EXIT_DATA),
+    ("set_without_equals", EXIT_USAGE),
+])
+def test_error_exit_codes(case, code, data_dir, tmp_path, capsys):
+    """Each failure class maps to its exit code and is reported once."""
+    if case == "degenerate_channel":
+        argv = ["stats", "--train", str(_flat_dataset(tmp_path / "flat.jqg")),
+                "--out", str(tmp_path / "stats.txt")]
+    elif case == "bad_magic":
+        (tmp_path / "bad.jqg").write_bytes(b"NOPE" + bytes(16))
+        argv = ["stats", "--train", str(tmp_path / "bad.jqg"), "--out", str(tmp_path / "stats.txt")]
+    elif case == "missing_train":
+        argv = ["train", "--data", str(tmp_path), "--model", "conv", "--out", str(tmp_path / "run")]
+    else:
+        argv = ["train", "--data", str(data_dir), "--model", "conv", "--out", str(tmp_path / "run"),
+                "--set", "max_epochs"]
+    capsys.readouterr()
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert err.count("error: ") == 1 and err.endswith("\n")
+    assert not (tmp_path / "run").exists()
