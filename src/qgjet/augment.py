@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .preprocess import ChannelStats, PreprocConfig, preprocess_window
+from .preprocess import ChannelStats, preprocess_window
 
 IMAGENET_MEAN = np.array([0.485, 0.456, 0.406], dtype=np.float32)
 IMAGENET_STD = np.array([0.229, 0.224, 0.225], dtype=np.float32)
@@ -335,11 +335,10 @@ def train_transform(preprocessed: np.ndarray, config: AugmentConfig,
     return out
 
 
-def validation_transform(window, stats: ChannelStats, config: AugmentConfig,
-                         preproc: PreprocConfig = PreprocConfig()) -> np.ndarray:
+def validation_transform(window, stats: ChannelStats, config: AugmentConfig) -> np.ndarray:
     """Deterministic path: preprocess, bilinear resize to the output size,
     channel-first float32, ImageNet standardization on the conv path only."""
-    pre = preprocess_window(window, stats, preproc)
+    pre = preprocess_window(window, stats)
     out = bilinear_resize_chw(pre, config.out_size)
     if config.imagenet_normalize:
         out = imagenet_normalize(out)

@@ -327,21 +327,15 @@ def main(argv=None) -> int:
 
     try:
         return _COMMANDS[args.command](args)
-    except (UsageError, ValueError) as exc:
-        if isinstance(exc, DegenerateChannel):
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_NUMERIC
-        if isinstance(exc, DataFormatError):
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_DATA
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except (OverflowError, FloatingPointError, ZeroDivisionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+    # DegenerateChannel and DataFormatError are ValueErrors: catch them first
+    except (DegenerateChannel, OverflowError, FloatingPointError, ZeroDivisionError) as exc:
+        code, error = EXIT_NUMERIC, exc
+    except (DataFormatError, FileNotFoundError) as exc:
+        code, error = EXIT_DATA, exc
+    except ValueError as exc:  # UsageError and every rejected setting or value
+        code, error = EXIT_USAGE, exc
+    print(f"error: {error}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

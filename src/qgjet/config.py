@@ -7,6 +7,10 @@ all three here, the ``model.`` keys into ``build_model`` keyword arguments,
 and ``_coerce`` turns every value's text into its field's type.
 Command-line overrides win over file values; every run emits the
 fully-resolved configuration next to its outputs.
+
+Only values that a run can vary are settings. The model input size is
+``aug.out_size``, the class count is 2, and the detector grid and the
+preprocessing constants are module constants, so none of them has a key.
 """
 from __future__ import annotations
 

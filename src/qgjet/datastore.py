@@ -137,16 +137,16 @@ def read_checkpoint(path) -> dict[str, np.ndarray]:
         for _ in range(count):
             (name_len,) = struct.unpack_from("<H", raw, offset)
             offset += 2
-            name = raw[offset:offset + name_len].decode("utf-8")
+            (name,) = struct.unpack_from(f"<{name_len}s", raw, offset)
             offset += name_len
-            rank = raw[offset]
+            (rank,) = struct.unpack_from("<B", raw, offset)
             offset += 1
             shape = struct.unpack_from(f"<{rank}I", raw, offset)
             offset += 4 * rank
             size = int(np.prod(shape, dtype=np.int64)) if rank else 1
             data = np.frombuffer(raw, dtype="<f4", count=size, offset=offset)
             offset += 4 * size
-            params[name] = data.reshape(shape).copy()
+            params[name.decode("utf-8")] = data.reshape(shape).copy()
     except (struct.error, ValueError) as exc:
         raise SizeMismatch("checkpoint truncated") from exc
     if offset != len(raw):

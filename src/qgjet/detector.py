@@ -5,17 +5,25 @@ grid covering |eta| < 3 and the full azimuth. TRACK and ECAL deposits are
 binned at fine resolution; HCAL deposits live on the native 56x72 tower
 grid and are upsampled by 5x5 block replication. A jet window is a 125x125
 crop centered on the hottest HCAL tower near the jet axis; columns wrap in
-phi, rows never pad in eta.
+phi, rows never pad in eta. The geometry is fixed and lives in module
+constants.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import IntEnum
 
 import numpy as np
 
 TWO_PI = 2.0 * math.pi
+N_ETA = 280  # fine grid rows over [ETA_MIN, ETA_MAX)
+N_PHI = 360  # fine grid columns over the full azimuth
+ETA_MIN = -3.0
+ETA_MAX = 3.0
+HCAL_FACTOR = 5  # fine pixels per HCAL tower along each axis
+N_ETA_HCAL = N_ETA // HCAL_FACTOR
+N_PHI_HCAL = N_PHI // HCAL_FACTOR
 WINDOW_SIZE = 125
 WINDOW_HALF = 62
 NEIGHBORHOOD_HALF = 4  # 9x9 towers scanned around the jet centroid tower
@@ -42,38 +50,15 @@ class DetectorHit:
     channel: Channel
 
 
-@dataclass(frozen=True)
-class GridSpec:
-    n_eta: int = 280
-    n_phi: int = 360
-    eta_min: float = -3.0
-    eta_max: float = 3.0
-    hcal_factor: int = 5
-
-    def __post_init__(self):
-        if self.n_eta % self.hcal_factor or self.n_phi % self.hcal_factor:
-            raise ValueError("fine grid must be a multiple of the tower grid")
-
-    @property
-    def n_eta_hcal(self) -> int:
-        return self.n_eta // self.hcal_factor
-
-    @property
-    def n_phi_hcal(self) -> int:
-        return self.n_phi // self.hcal_factor
-
-
 @dataclass
 class FullDetectorImage:
-    data: np.ndarray  # float32 [3, n_eta, n_phi]
-    spec: GridSpec = field(default_factory=GridSpec)
+    data: np.ndarray  # float32 [3, N_ETA, N_PHI]
     n_dropped: int = 0
 
     def hcal_native(self) -> np.ndarray:
         """Tower values [56, 72]; valid because the HCAL channel is
         block-constant after upsampling."""
-        f = self.spec.hcal_factor
-        return self.data[Channel.HCAL, ::f, ::f]
+        return self.data[Channel.HCAL, ::HCAL_FACTOR, ::HCAL_FACTOR]
 
 
 @dataclass
@@ -101,8 +86,8 @@ def wrap_phi(phi):
     return phi - TWO_PI * np.floor((phi + math.pi) / TWO_PI)
 
 
-def _eta_bin(eta, n_eta: int, eta_min: float, eta_max: float):
-    idx = np.floor((eta - eta_min) * (n_eta / (eta_max - eta_min))).astype(np.int64)
+def _eta_bin(eta, n_eta: int):
+    idx = np.floor((eta - ETA_MIN) * (n_eta / (ETA_MAX - ETA_MIN))).astype(np.int64)
     return np.minimum(idx, n_eta - 1)
 
 
@@ -111,10 +96,10 @@ def _phi_bin(phi, n_phi: int):
     return np.minimum(idx, n_phi - 1)
 
 
-def bin_hits(hits, spec: GridSpec = GridSpec()) -> FullDetectorImage:
+def bin_hits(hits) -> FullDetectorImage:
     """Sum hits into the fine grid; HCAL goes through the native tower grid.
 
-    Hits with |eta| >= eta_max are dropped (counted in ``n_dropped``), never
+    Hits with |eta| >= ETA_MAX are dropped (counted in ``n_dropped``), never
     an error. Cells receiving several hits accumulate their sum.
     """
     eta = np.array([h.eta for h in hits], dtype=np.float64)
@@ -122,34 +107,33 @@ def bin_hits(hits, spec: GridSpec = GridSpec()) -> FullDetectorImage:
     val = np.array([h.value for h in hits], dtype=np.float64)
     cha = np.array([int(h.channel) for h in hits], dtype=np.int64)
 
-    in_range = np.abs(eta) < spec.eta_max if len(hits) else np.zeros(0, dtype=bool)
+    in_range = np.abs(eta) < ETA_MAX if len(hits) else np.zeros(0, dtype=bool)
     n_dropped = int(len(hits) - in_range.sum())
     eta, phi, val, cha = eta[in_range], phi[in_range], val[in_range], cha[in_range]
 
-    image = np.zeros((3, spec.n_eta, spec.n_phi), dtype=np.float64)
+    image = np.zeros((3, N_ETA, N_PHI), dtype=np.float64)
     for channel in (Channel.TRACK, Channel.ECAL):
         sel = cha == int(channel)
-        rows = _eta_bin(eta[sel], spec.n_eta, spec.eta_min, spec.eta_max)
-        cols = _phi_bin(phi[sel], spec.n_phi)
+        rows = _eta_bin(eta[sel], N_ETA)
+        cols = _phi_bin(phi[sel], N_PHI)
         np.add.at(image[channel], (rows, cols), val[sel])
 
     sel = cha == int(Channel.HCAL)
-    native = np.zeros((spec.n_eta_hcal, spec.n_phi_hcal), dtype=np.float64)
-    rows = _eta_bin(eta[sel], spec.n_eta_hcal, spec.eta_min, spec.eta_max)
-    cols = _phi_bin(phi[sel], spec.n_phi_hcal)
+    native = np.zeros((N_ETA_HCAL, N_PHI_HCAL), dtype=np.float64)
+    rows = _eta_bin(eta[sel], N_ETA_HCAL)
+    cols = _phi_bin(phi[sel], N_PHI_HCAL)
     np.add.at(native, (rows, cols), val[sel])
-    image[Channel.HCAL] = upsample_hcal(native, spec)
+    image[Channel.HCAL] = upsample_hcal(native)
 
-    return FullDetectorImage(image.astype(np.float32), spec, n_dropped)
+    return FullDetectorImage(image.astype(np.float32), n_dropped)
 
 
-def upsample_hcal(native: np.ndarray, spec: GridSpec = GridSpec()) -> np.ndarray:
+def upsample_hcal(native: np.ndarray) -> np.ndarray:
     """Replicate each tower value into its fine block (no energy splitting)."""
-    expected = (spec.n_eta_hcal, spec.n_phi_hcal)
+    expected = (N_ETA_HCAL, N_PHI_HCAL)
     if native.shape != expected:
         raise ValueError(f"native HCAL grid must be {expected}, got {native.shape}")
-    f = spec.hcal_factor
-    return np.repeat(np.repeat(native, f, axis=0), f, axis=1)
+    return np.repeat(np.repeat(native, HCAL_FACTOR, axis=0), HCAL_FACTOR, axis=1)
 
 
 def find_window_center(image: FullDetectorImage, jet_eta: float, jet_phi: float) -> tuple[int, int]:
@@ -160,19 +144,18 @@ def find_window_center(image: FullDetectorImage, jet_eta: float, jet_phi: float)
     falls back to the centroid tower itself. Returns the tower-block center
     pixel in fine-grid coordinates.
     """
-    spec = image.spec
-    if not spec.eta_min <= jet_eta < spec.eta_max:
+    if not ETA_MIN <= jet_eta < ETA_MAX:
         raise ValueError(f"jet eta {jet_eta} outside the instrumented range")
-    trow = int(_eta_bin(np.float64(jet_eta), spec.n_eta_hcal, spec.eta_min, spec.eta_max))
-    tcol = int(_phi_bin(np.float64(jet_phi), spec.n_phi_hcal))
+    trow = int(_eta_bin(np.float64(jet_eta), N_ETA_HCAL))
+    tcol = int(_phi_bin(np.float64(jet_phi), N_PHI_HCAL))
 
     hcal = image.hcal_native()
     best_energy = -1.0
     best = (trow, tcol)
     for r in range(max(0, trow - NEIGHBORHOOD_HALF),
-                   min(spec.n_eta_hcal, trow + NEIGHBORHOOD_HALF + 1)):
+                   min(N_ETA_HCAL, trow + NEIGHBORHOOD_HALF + 1)):
         for dc in range(-NEIGHBORHOOD_HALF, NEIGHBORHOOD_HALF + 1):
-            c = (tcol + dc) % spec.n_phi_hcal
+            c = (tcol + dc) % N_PHI_HCAL
             e = float(hcal[r, c])
             if e > best_energy or (e == best_energy and (r, c) < best):
                 best_energy = e
@@ -180,18 +163,17 @@ def find_window_center(image: FullDetectorImage, jet_eta: float, jet_phi: float)
     if best_energy == 0.0:
         best = (trow, tcol)  # no deposit anywhere: keep the centroid tower
 
-    half = spec.hcal_factor // 2
-    return (best[0] * spec.hcal_factor + half, best[1] * spec.hcal_factor + half)
+    half = HCAL_FACTOR // 2
+    return (best[0] * HCAL_FACTOR + half, best[1] * HCAL_FACTOR + half)
 
 
 def crop_jet_window(image: FullDetectorImage, center: tuple[int, int]) -> JetWindow:
-    """125x125 crop around ``center``; columns wrap modulo n_phi, rows must
+    """125x125 crop around ``center``; columns wrap modulo N_PHI, rows must
     fit entirely inside the eta range."""
     row, col = center
-    spec = image.spec
-    if row < WINDOW_HALF or row > spec.n_eta - WINDOW_HALF - 1:
+    if row < WINDOW_HALF or row > N_ETA - WINDOW_HALF - 1:
         raise EtaOutOfRange(f"window center row {row} leaves no room for a full crop")
     rows = slice(row - WINDOW_HALF, row + WINDOW_HALF + 1)
-    cols = np.arange(col - WINDOW_HALF, col + WINDOW_HALF + 1) % spec.n_phi
+    cols = np.arange(col - WINDOW_HALF, col + WINDOW_HALF + 1) % N_PHI
     window = image.data[:, rows, :][:, :, cols]
     return JetWindow(np.ascontiguousarray(window, dtype=np.float32), row, col)

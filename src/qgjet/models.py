@@ -12,41 +12,33 @@ Backbones are trained from scratch; the staged-unfreezing protocol maps
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import EVAL, TRAIN, ParameterRegistry, Tensor
+from .autodiff import EVAL, ParameterRegistry, Tensor
+
+NUM_CLASSES = 2  # gluon, quark: the label byte, one-hot targets and scores fix it
 
 
 @dataclass(frozen=True)
 class ViTConfig:
-    image_size: int = 224
     patch_size: int = 16
     embed_dim: int = 64
     depth: int = 4
     heads: int = 4
     mlp_ratio: int = 4
-    num_classes: int = 2
 
     def __post_init__(self):
-        if self.image_size % self.patch_size:
-            raise ValueError("image size must be divisible by the patch size")
         if self.embed_dim % self.heads:
             raise ValueError("embed dim must be divisible by the head count")
-
-    @property
-    def n_patches(self) -> int:
-        return (self.image_size // self.patch_size) ** 2
 
 
 @dataclass(frozen=True)
 class ConvConfig:
-    image_size: int = 224
     widths: tuple[int, ...] = (16, 32, 64)
     kernel: int = 3
-    num_classes: int = 2
 
     def __post_init__(self):
         if not self.widths:
@@ -61,7 +53,6 @@ class ConvConfig:
 class HybridConfig:
     hidden_dim: int = 512
     dropout: float = 0.1
-    num_classes: int = 2
 
 
 def trunc_normal(rng: np.random.Generator, shape, std: float = 0.02, dtype=np.float32) -> np.ndarray:
@@ -143,10 +134,13 @@ class TinyViT:
     is_transformer_path = True
     uses_imagenet_norm = False
 
-    def __init__(self, cfg: ViTConfig, rng: np.random.Generator,
+    def __init__(self, cfg: ViTConfig, image_size: int, rng: np.random.Generator,
                  registry: ParameterRegistry | None = None, prefix: str = "",
                  dtype=np.float32, with_head: bool = True):
+        if image_size % cfg.patch_size:
+            raise ValueError("image size must be divisible by the patch size")
         self.cfg = cfg
+        self.n_side = image_size // cfg.patch_size
         self.registry = registry if registry is not None else ParameterRegistry()
         pre = f"{prefix}." if prefix else ""
         d = cfg.embed_dim
@@ -155,15 +149,15 @@ class TinyViT:
         self.patch_w = reg.add(f"{pre}patch.w", Tensor(trunc_normal(rng, (patch_dim, d), dtype=dtype)))
         self.patch_b = reg.add(f"{pre}patch.b", Tensor(np.zeros(d, dtype=dtype)))
         self.cls = reg.add(f"{pre}cls", Tensor(np.zeros((1, 1, d), dtype=dtype)))
-        self.pos = reg.add(f"{pre}pos", Tensor(trunc_normal(rng, (1, cfg.n_patches + 1, d), dtype=dtype)))
+        self.pos = reg.add(f"{pre}pos", Tensor(trunc_normal(rng, (1, self.n_side ** 2 + 1, d), dtype=dtype)))
         self.blocks = [EncoderBlock(reg, f"{pre}blocks.{i}", cfg, rng, dtype)
                        for i in range(cfg.depth)]
         self.norm_g = reg.add(f"{pre}norm.g", Tensor(np.ones(d, dtype=dtype)))
         self.norm_b = reg.add(f"{pre}norm.b", Tensor(np.zeros(d, dtype=dtype)))
         self.head_w = self.head_b = None
         if with_head:
-            self.head_w = reg.add(f"{pre}head.w", Tensor(trunc_normal(rng, (d, cfg.num_classes), dtype=dtype)))
-            self.head_b = reg.add(f"{pre}head.b", Tensor(np.zeros(cfg.num_classes, dtype=dtype)))
+            self.head_w = reg.add(f"{pre}head.w", Tensor(trunc_normal(rng, (d, NUM_CLASSES), dtype=dtype)))
+            self.head_b = reg.add(f"{pre}head.b", Tensor(np.zeros(NUM_CLASSES, dtype=dtype)))
         self._prefix = pre
         self.feature_dim = d
 
@@ -171,8 +165,7 @@ class TinyViT:
         """[B,3,H,W] -> [B, N+1, D] with class token at row 0 and positional
         embeddings added to every row."""
         b = images.shape[0]
-        p = self.cfg.patch_size
-        n_side = self.cfg.image_size // p
+        p, n_side = self.cfg.patch_size, self.n_side
         x = ad.reshape(images, (b, 3, n_side, p, n_side, p))
         x = ad.transpose(x, (0, 2, 4, 1, 3, 5))
         x = ad.reshape(x, (b, n_side * n_side, 3 * p * p))
@@ -227,8 +220,8 @@ class TinyConvNet:
         self.head_w = self.head_b = None
         if with_head:
             self.head_w = reg.add(f"{pre}head.w",
-                                  Tensor(trunc_normal(rng, (cfg.feature_dim, cfg.num_classes), dtype=dtype)))
-            self.head_b = reg.add(f"{pre}head.b", Tensor(np.zeros(cfg.num_classes, dtype=dtype)))
+                                  Tensor(trunc_normal(rng, (cfg.feature_dim, NUM_CLASSES), dtype=dtype)))
+            self.head_b = reg.add(f"{pre}head.b", Tensor(np.zeros(NUM_CLASSES, dtype=dtype)))
         self._prefix = pre
         self.feature_dim = cfg.feature_dim
 
@@ -269,8 +262,8 @@ class HybridModel:
         concat_dim = sum(b.feature_dim for b in backbones)
         self.w1 = registry.add("head.w1", Tensor(trunc_normal(rng, (concat_dim, cfg.hidden_dim), dtype=dtype)))
         self.b1 = registry.add("head.b1", Tensor(np.zeros(cfg.hidden_dim, dtype=dtype)))
-        self.w2 = registry.add("head.w2", Tensor(trunc_normal(rng, (cfg.hidden_dim, cfg.num_classes), dtype=dtype)))
-        self.b2 = registry.add("head.b2", Tensor(np.zeros(cfg.num_classes, dtype=dtype)))
+        self.w2 = registry.add("head.w2", Tensor(trunc_normal(rng, (cfg.hidden_dim, NUM_CLASSES), dtype=dtype)))
+        self.b2 = registry.add("head.b2", Tensor(np.zeros(NUM_CLASSES, dtype=dtype)))
         self.is_transformer_path = any(b.is_transformer_path for b in backbones)
 
     def head(self, feats: list[Tensor], mode: str = EVAL,
@@ -306,19 +299,19 @@ def build_model(kind: str, image_size: int, rng: np.random.Generator, dtype=np.f
                 vit_cfg: ViTConfig | None = None, conv_cfg: ConvConfig | None = None,
                 hybrid_cfg: HybridConfig | None = None):
     """Factory for the supported classifier kinds at a given input size."""
-    vit_cfg = replace(vit_cfg or ViTConfig(), image_size=image_size)
-    conv_cfg = replace(conv_cfg or ConvConfig(), image_size=image_size)
+    vit_cfg = vit_cfg or ViTConfig()
+    conv_cfg = conv_cfg or ConvConfig()
     hybrid_cfg = hybrid_cfg or HybridConfig()
     if kind == "vit":
-        return TinyViT(vit_cfg, rng, dtype=dtype)
+        return TinyViT(vit_cfg, image_size, rng, dtype=dtype)
     if kind == "conv":
         return TinyConvNet(conv_cfg, rng, dtype=dtype)
     if kind in ("hybrid2", "hybrid3"):
         registry = ParameterRegistry()
-        backbones = [TinyViT(vit_cfg, rng, registry, "vit", dtype, with_head=False),
+        backbones = [TinyViT(vit_cfg, image_size, rng, registry, "vit", dtype, with_head=False),
                      TinyConvNet(conv_cfg, rng, registry, "conv", dtype, with_head=False)]
         if kind == "hybrid3":
             small = replace(vit_cfg, embed_dim=32, depth=2, heads=2)
-            backbones.append(TinyViT(small, rng, registry, "vit2", dtype, with_head=False))
+            backbones.append(TinyViT(small, image_size, rng, registry, "vit2", dtype, with_head=False))
         return HybridModel(backbones, hybrid_cfg, rng, registry, dtype)
     raise ValueError(f"unknown model kind: {kind!r}")

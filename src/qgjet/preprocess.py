@@ -4,8 +4,11 @@ Stage order: zero suppression, per-channel global z-score, upper clipping
 at clip_factor * sigma_k of the z-scored values, then sample-wise min-max
 scaling with the minimum and maximum taken jointly over all three channels.
 The clip cap intentionally multiplies the raw-channel sigma even though it
-is applied to already-normalized values; ``clip_factor`` is exposed for
-sensitivity studies but the formula is not reinterpreted.
+is applied to already-normalized values; the formula is not reinterpreted.
+
+The constants are fixed and written once, as the defaults of the stage
+functions: zero threshold 1e-3, clip factor 500 and min-max epsilon 1e-5.
+A sensitivity study calls the stages with other values directly.
 
 Channel statistics come from the training split only and are computed on
 zero-suppressed pixels with float64 accumulation (population variance,
@@ -24,17 +27,6 @@ class DegenerateChannel(ValueError):
     """A channel's global standard deviation vanished."""
 
 
-@dataclass(frozen=True)
-class PreprocConfig:
-    zero_threshold: float = 1e-3
-    clip_factor: float = 500.0
-    eps: float = 1e-5
-
-    def __post_init__(self):
-        if min(self.zero_threshold, self.clip_factor, self.eps) <= 0:
-            raise ValueError("all preprocessing constants must be positive")
-
-
 @dataclass
 class ChannelStats:
     mu: np.ndarray      # float64 [3]
@@ -46,7 +38,7 @@ def _window_array(window) -> np.ndarray:
     return window.data if isinstance(window, JetWindow) else np.asarray(window)
 
 
-def compute_channel_stats(windows, config: PreprocConfig = PreprocConfig()) -> ChannelStats:
+def compute_channel_stats(windows) -> ChannelStats:
     """Global per-channel mean and population std over zero-suppressed pixels.
 
     Accepts any iterable of windows (JetWindow or [3,H,W] arrays) and merges
@@ -57,7 +49,7 @@ def compute_channel_stats(windows, config: PreprocConfig = PreprocConfig()) -> C
     mean = np.zeros(3, dtype=np.float64)
     m2 = np.zeros(3, dtype=np.float64)
     for window in windows:
-        x = zero_suppress(_window_array(window).astype(np.float64), config.zero_threshold)
+        x = zero_suppress(_window_array(window).astype(np.float64))
         x = x.reshape(3, -1)
         nb = x.shape[1]
         mean_b = x.mean(axis=1)
@@ -105,14 +97,13 @@ def minmax_scale(image: np.ndarray, eps: float = 1e-5) -> np.ndarray:
     return np.minimum(out, top)
 
 
-def preprocess_window(window, stats: ChannelStats,
-                      config: PreprocConfig = PreprocConfig()) -> np.ndarray:
+def preprocess_window(window, stats: ChannelStats) -> np.ndarray:
     """Full chain in float64, emitted as float32 [3,125,125] within [0, 1)."""
     x = _window_array(window).astype(np.float64)
-    x = zero_suppress(x, config.zero_threshold)
+    x = zero_suppress(x)
     x = zscore_normalize(x, stats)
-    x = clip_outliers(x, stats, config.clip_factor)
-    x = minmax_scale(x, config.eps)
+    x = clip_outliers(x, stats)
+    x = minmax_scale(x)
     out = x.astype(np.float32)
     top = np.nextafter(np.float32(1), np.float32(0))
     return np.minimum(out, top)

@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .detector import (GLUON, QUARK, Channel, DetectorHit, GridSpec, JetWindow,
+from .detector import (GLUON, QUARK, Channel, DetectorHit, EtaOutOfRange, JetWindow,
                        bin_hits, crop_jet_window, find_window_center, wrap_phi)
 from .rng import stream
 
@@ -119,10 +119,14 @@ def apply_selection(event: JetEvent) -> bool:
     return event.jet_pt > 70.0 and abs(event.true_eta) < 1.8
 
 
-def generate_dataset(config: SynthConfig, n_per_class: int,
-                     spec: GridSpec = GridSpec()) -> list[JetWindow]:
+def generate_dataset(config: SynthConfig, n_per_class: int) -> list[JetWindow]:
     """Exactly ``n_per_class`` labeled windows per class, rejected events
-    resampled, deterministically shuffled by the config seed."""
+    resampled, deterministically shuffled by the config seed.
+
+    An event is rejected when it fails the selection or when its 125-pixel
+    crop cannot fit inside the eta range, which can happen for |eta| above
+    about 1.29.
+    """
     if n_per_class < 1:
         raise ValueError("n_per_class must be at least 1")
     windows: list[JetWindow] = []
@@ -135,9 +139,12 @@ def generate_dataset(config: SynthConfig, n_per_class: int,
             event = sample_jet(config, label, rng)
             if not apply_selection(event):
                 continue
-            image = bin_hits(event.hits, spec)
+            image = bin_hits(event.hits)
             center = find_window_center(image, event.true_eta, event.true_phi)
-            window = crop_jet_window(image, center)
+            try:
+                window = crop_jet_window(image, center)
+            except EtaOutOfRange:
+                continue
             window.label = label
             windows.append(window)
             produced += 1

@@ -16,9 +16,9 @@ from . import autodiff as ad
 from .augment import AugmentConfig, mixup, train_transform, validation_transform
 from .detector import JetWindow
 from .metrics import MetricReport, aggregate_seeds, compute_metrics, measure_inference_ms
-from .models import build_model
+from .models import NUM_CLASSES, build_model
 from .optim import OPTIMIZER_KINDS, Optimizer, cosine_lr
-from .preprocess import ChannelStats, PreprocConfig, compute_channel_stats, preprocess_window
+from .preprocess import ChannelStats, compute_channel_stats, preprocess_window
 from .rng import stream
 
 CONTINUE = "continue"
@@ -103,8 +103,8 @@ def apply_unfreeze_schedule(epoch: int, model, config: TrainConfig) -> None:
                 model.registry.set_trainable(prefix, True, UNFROZEN_GROUP)
 
 
-def _one_hot(labels: np.ndarray, k: int = 2) -> np.ndarray:
-    out = np.zeros((labels.size, k), dtype=np.float32)
+def _one_hot(labels: np.ndarray) -> np.ndarray:
+    out = np.zeros((labels.size, NUM_CLASSES), dtype=np.float32)
     out[np.arange(labels.size), labels] = 1.0
     return out
 
@@ -124,20 +124,19 @@ def _softmax_scores(logits: np.ndarray) -> np.ndarray:
 
 
 def results_row(label: str, model, records: list[RunRecord],
-                reports: list[MetricReport], image_size: int) -> dict:
+                reports: list[MetricReport], out_size: int) -> dict:
     """One metrics-CSV row: the seed aggregate, the parameter count, the mean
     training seconds and the single-image inference milliseconds of ``model``."""
     return {"model": label, "aggregate": aggregate_seeds(reports),
             "params": records[0].total_params,
             "train_seconds": float(np.mean([r.train_seconds for r in records])),
             "inference_ms": measure_inference_ms(lambda img: model.forward(ad.Tensor(img)),
-                                                 (3, image_size, image_size))}
+                                                 (3, out_size, out_size))}
 
 
 def fit(train_windows: list[JetWindow], val_windows: list[JetWindow], model_kind: str,
         config: TrainConfig, aug: AugmentConfig, seed: int,
-        stats: ChannelStats | None = None, preproc: PreprocConfig = PreprocConfig(),
-        model=None):
+        stats: ChannelStats | None = None, model=None):
     """Train one seed; returns (RunRecord, best parameter state, best MetricReport).
 
     Statistics default to the training split; the validation pass reuses them
@@ -148,15 +147,15 @@ def fit(train_windows: list[JetWindow], val_windows: list[JetWindow], model_kind
     t_start = time.perf_counter()
 
     if stats is None:
-        stats = compute_channel_stats(train_windows, preproc)
+        stats = compute_channel_stats(train_windows)
     if model is None:
         model = build_model(model_kind, aug.out_size, stream(seed, "init"))
     aug = replace(aug, imagenet_normalize=model.uses_imagenet_norm)
     use_mixup = config.mixup_enabled if config.mixup_enabled is not None else model.is_transformer_path
 
-    pre_train = np.stack([preprocess_window(w, stats, preproc) for w in train_windows])
+    pre_train = np.stack([preprocess_window(w, stats) for w in train_windows])
     train_labels = np.array([w.label for w in train_windows], dtype=np.int64)
-    val_inputs = np.stack([validation_transform(w, stats, aug, preproc) for w in val_windows])
+    val_inputs = np.stack([validation_transform(w, stats, aug) for w in val_windows])
     val_labels = np.array([w.label for w in val_windows], dtype=np.int64)
     val_onehot = _one_hot(val_labels)
 

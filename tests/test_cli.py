@@ -71,9 +71,14 @@ def _train(data_dir, out, *args):
                  *TINY, *args])
 
 
-@pytest.mark.parametrize("setting", ("model.bogus.x=1", "model.conv.widths=a"))
+@pytest.mark.parametrize("setting", (
+    "model.bogus.x=1", "model.conv.widths=a",
+    # the input size is aug.out_size and the class count is 2: neither is a setting
+    "model.vit.image_size=64", "model.conv.image_size=999", "model.hybrid.num_classes=3",
+    "model.vit.num_classes=3"))
 def test_bad_model_setting_is_a_usage_error(data_dir, tmp_path, setting):
-    assert _train(data_dir, tmp_path, "--seeds", "1", "--set", setting) == EXIT_USAGE
+    assert _train(data_dir, tmp_path / "run", "--seeds", "1", "--set", setting) == EXIT_USAGE
+    assert not (tmp_path / "run").exists()
 
 
 def test_seeds_setting_is_not_overridden_by_the_flag_default(data_dir, tmp_path):

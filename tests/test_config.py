@@ -52,6 +52,8 @@ def test_repeated_group_keeps_every_field():
     ("aug.bogus", "1"),
     ("bogus", "1"),
     ("staged_unfreezing", "maybe"),  # booleans are strict
+    ("model.vit.image_size", "64"),  # the input size is aug.out_size
+    ("model.hybrid.num_classes", "2"),  # the class count is fixed
 ])
 def test_bad_settings_rejected(key, value):
     with pytest.raises(ValueError):

@@ -6,11 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qgjet.detector import (Channel, DetectorHit, EtaOutOfRange, FullDetectorImage,
-                            GridSpec, bin_hits, crop_jet_window, eta_from_theta,
+                            bin_hits, crop_jet_window, eta_from_theta,
                             find_window_center, pt_from_components, upsample_hcal,
                             wrap_phi)
-
-SPEC = GridSpec()
 
 
 def make_hit(eta, phi, value, channel=Channel.ECAL):

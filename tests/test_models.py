@@ -9,20 +9,22 @@ from qgjet.rng import stream
 
 
 def tiny_vit(dtype=np.float32, depth=1, image=32, dim=8, heads=2, seed=7):
-    cfg = ViTConfig(image_size=image, patch_size=16, embed_dim=dim, depth=depth, heads=heads)
-    return TinyViT(cfg, stream(seed, "init"), dtype=dtype)
+    cfg = ViTConfig(patch_size=16, embed_dim=dim, depth=depth, heads=heads)
+    return TinyViT(cfg, image, stream(seed, "init"), dtype=dtype)
 
 
 class TestViTConfig:
     def test_divisibility_checks(self):
         with pytest.raises(ValueError):
-            ViTConfig(image_size=100, patch_size=16)
+            TinyViT(ViTConfig(patch_size=16), 100, stream(0, "init"))
         with pytest.raises(ValueError):
             ViTConfig(embed_dim=10, heads=4)
 
     def test_patch_counts(self):
-        assert ViTConfig(image_size=224, patch_size=16).n_patches == 196
-        assert ViTConfig(image_size=64, patch_size=16).n_patches == 16
+        # one positional row per patch plus the class token
+        cfg = ViTConfig(patch_size=16, embed_dim=8, depth=0, heads=2)
+        assert TinyViT(cfg, 224, stream(0, "init")).pos.shape == (1, 196 + 1, 8)
+        assert TinyViT(cfg, 64, stream(0, "init")).pos.shape == (1, 16 + 1, 8)
 
 
 class TestPatchEmbed:
@@ -33,8 +35,8 @@ class TestPatchEmbed:
         assert seq.shape == (2, 17, 16)
 
     def test_full_size_sequence(self):
-        cfg = ViTConfig(image_size=224, patch_size=16, embed_dim=8, depth=0, heads=2)
-        model = TinyViT(cfg, stream(0, "init"))
+        cfg = ViTConfig(patch_size=16, embed_dim=8, depth=0, heads=2)
+        model = TinyViT(cfg, 224, stream(0, "init"))
         seq = model.patch_embed(Tensor(np.zeros((1, 3, 224, 224), dtype=np.float32)))
         assert seq.shape == (1, 197, 8)
 
@@ -121,8 +123,8 @@ class TestEncoderBlock:
 
 class TestViTForward:
     def test_depth_zero_feature_is_normed_class_token(self):
-        cfg = ViTConfig(image_size=32, patch_size=16, embed_dim=8, depth=0, heads=2)
-        model = TinyViT(cfg, stream(10, "init"), dtype=np.float64)
+        cfg = ViTConfig(patch_size=16, embed_dim=8, depth=0, heads=2)
+        model = TinyViT(cfg, 32, stream(10, "init"), dtype=np.float64)
         x = Tensor(np.random.default_rng(11).normal(size=(1, 3, 32, 32)))
         feat = model.features(x)
         seq = model.patch_embed(x)
@@ -176,7 +178,7 @@ class TestViTForward:
 
 class TestConvForward:
     def test_gap_of_constant_through_identity_kernels(self):
-        cfg = ConvConfig(image_size=8, widths=(3,), kernel=1)
+        cfg = ConvConfig(widths=(3,), kernel=1)
         model = TinyConvNet(cfg, stream(15, "init"), dtype=np.float64)
         model.kernels[0].data[:] = np.eye(3)[:, :, None, None]
         model.biases[0].data[:] = 0.0
@@ -185,13 +187,13 @@ class TestConvForward:
         assert feat.data == pytest.approx(np.full((1, 3), 2.5))
 
     def test_feature_length(self):
-        cfg = ConvConfig(image_size=16, widths=(4, 6))
+        cfg = ConvConfig(widths=(4, 6))
         model = TinyConvNet(cfg, stream(16, "init"))
         x = Tensor(np.random.default_rng(17).normal(size=(2, 3, 16, 16)).astype(np.float32))
         assert model.features(x).shape == (2, 6)
 
     def test_single_stage_matches_naive_oracle(self):
-        cfg = ConvConfig(image_size=8, widths=(4,), kernel=3)
+        cfg = ConvConfig(widths=(4,), kernel=3)
         model = TinyConvNet(cfg, stream(18, "init"), dtype=np.float64)
         rng = np.random.default_rng(19)
         x = rng.normal(size=(1, 3, 8, 8))
@@ -235,8 +237,8 @@ class TestHeads:
 
 class TestHybrid:
     def _hybrid(self, kind="hybrid2", image=32, dtype=np.float32):
-        vit_cfg = ViTConfig(image_size=image, patch_size=16, embed_dim=16, depth=1, heads=2)
-        conv_cfg = ConvConfig(image_size=image, widths=(4, 8))
+        vit_cfg = ViTConfig(patch_size=16, embed_dim=16, depth=1, heads=2)
+        conv_cfg = ConvConfig(widths=(4, 8))
         return build_model(kind, image, stream(22, "init"), dtype=dtype,
                            vit_cfg=vit_cfg, conv_cfg=conv_cfg)
 

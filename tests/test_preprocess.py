@@ -1,3 +1,5 @@
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,9 +8,9 @@ from hypothesis.extra import numpy as hnp
 
 from oracles import straightline_preprocess, two_pass_channel_stats
 from qgjet.detector import JetWindow
-from qgjet.preprocess import (ChannelStats, DegenerateChannel, PreprocConfig,
-                              clip_outliers, compute_channel_stats, minmax_scale,
-                              preprocess_window, zero_suppress, zscore_normalize)
+from qgjet.preprocess import (ChannelStats, DegenerateChannel, clip_outliers,
+                              compute_channel_stats, minmax_scale, preprocess_window,
+                              zero_suppress, zscore_normalize)
 
 
 def stats_of(mu, sigma):
@@ -22,12 +24,15 @@ def random_window(rng, scale=5.0):
     return data
 
 
-class TestPreprocConfig:
-    def test_positive_constants(self):
-        with pytest.raises(ValueError):
-            PreprocConfig(zero_threshold=0.0)
-        cfg = PreprocConfig()
-        assert (cfg.zero_threshold, cfg.clip_factor, cfg.eps) == (1e-3, 500.0, 1e-5)
+class TestStageDefaults:
+    def test_constants(self):
+        """The chain's constants live once, as the stage functions' defaults."""
+        def default(f, name):
+            return inspect.signature(f).parameters[name].default
+
+        assert default(zero_suppress, "threshold") == 1e-3
+        assert default(clip_outliers, "clip_factor") == 500.0
+        assert default(minmax_scale, "eps") == 1e-5
 
 
 class TestComputeChannelStats:

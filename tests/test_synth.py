@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -121,6 +122,16 @@ class TestGenerateDataset:
     def test_n_must_be_positive(self):
         with pytest.raises(ValueError):
             generate_dataset(preset("easy"), 0)
+
+    def test_wide_eta_range_resamples_windows_that_cannot_fit(self):
+        # |eta| < 1.79 passes the selection, but beyond about 1.29 the hottest
+        # tower can sit too close to the eta edge for a full 125-pixel crop
+        config = replace(preset("easy", seed=2), jet_eta_range=(-1.79, 1.79))
+        windows = generate_dataset(config, 40)
+        assert sorted(w.label for w in windows) == [GLUON] * 40 + [QUARK] * 40
+        assert all(w.data.shape == (3, 125, 125) for w in windows)
+        rows = [w.center_row for w in windows]
+        assert min(rows) >= 62 and max(rows) <= 280 - 63
 
     def test_gluon_windows_have_more_track_pixels(self):
         windows = generate_dataset(preset("easy", seed=7), 500)
