@@ -436,29 +436,30 @@ def conv2d(x: Tensor, kernels: Tensor, stride: int = 1, padding: int = 0) -> Ten
 # parameters
 
 class ParamEntry:
-    __slots__ = ("tensor", "trainable", "group")
+    __slots__ = ("tensor", "group")
 
-    def __init__(self, tensor: Tensor, trainable: bool, group: str):
+    def __init__(self, tensor: Tensor, group: str):
         self.tensor = tensor
-        self.trainable = trainable
         self.group = group
 
 
 class ParameterRegistry:
-    """Named trainable tensors grouped by module path.
+    """Named parameter tensors grouped by module path.
 
-    Frozen entries receive no optimizer updates; each entry carries a
-    learning-rate group name resolved by the optimizer.
+    A parameter trains exactly when its tensor's ``requires_grad`` is True.
+    Frozen means ``requires_grad`` is False: the parameter puts no node on
+    the tape, gets no gradient and receives no optimizer update. Each entry
+    carries a learning-rate group name resolved by the optimizer.
     """
 
     def __init__(self):
         self._entries: dict[str, ParamEntry] = {}
 
-    def add(self, name: str, tensor: Tensor, trainable: bool = True, group: str = "head") -> Tensor:
+    def add(self, name: str, tensor: Tensor) -> Tensor:
         if name in self._entries:
             raise ValueError(f"duplicate parameter name: {name}")
         tensor.requires_grad = True
-        self._entries[name] = ParamEntry(tensor, trainable, group)
+        self._entries[name] = ParamEntry(tensor, "head")
         return tensor
 
     def __getitem__(self, name: str) -> ParamEntry:
@@ -468,18 +469,18 @@ class ParameterRegistry:
         return self._entries.items()
 
     def set_trainable(self, prefix: str, trainable: bool, group: str | None = None) -> int:
-        """Flip every parameter under ``prefix``; returns scalar count touched."""
+        """Freeze or unfreeze every parameter under ``prefix``; returns scalar count touched."""
         touched = 0
         for name, entry in self._entries.items():
             if name == prefix or name.startswith(prefix + "."):
-                entry.trainable = trainable
+                entry.tensor.requires_grad = trainable
                 if group is not None:
                     entry.group = group
                 touched += entry.tensor.size
         return touched
 
     def n_trainable(self) -> int:
-        return sum(e.tensor.size for e in self._entries.values() if e.trainable)
+        return sum(e.tensor.size for e in self._entries.values() if e.tensor.requires_grad)
 
     def n_total(self) -> int:
         return sum(e.tensor.size for e in self._entries.values())

@@ -55,7 +55,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", choices=("vit", "conv", "hybrid2", "hybrid3"), required=True)
     p.add_argument("--config", help="key = value configuration file")
     p.add_argument("--seeds", type=int,
-                   help="run seeds 1..N (default: the seeds setting, 1,2,3 unless configured)")
+                   help="run seeds 1..N in place of the seeds setting "
+                        "(default: the seeds setting, 1,2,3 unless configured)")
     p.add_argument("--out", required=True)
     p.add_argument("--set", dest="overrides", action="append", default=[],
                    metavar="KEY=VALUE", help="override a config entry")
@@ -171,8 +172,11 @@ def _cmd_train(args) -> int:
 
     settings = _read_settings(args)
     train_cfg, aug_cfg, kwargs = _resolve(settings)
-    if args.seeds is not None and args.seeds != len(train_cfg.seeds):
+    if args.seeds is not None:
         train_cfg = dc_replace(train_cfg, seeds=tuple(range(1, args.seeds + 1)))
+    # build every seed's model first, so a bad model setting writes nothing
+    models = [build_model(args.model, aug_cfg.out_size, stream(seed, "init"), **kwargs)
+              for seed in train_cfg.seeds]
 
     train_windows, val_windows = _load_split(args.data)
     stats_path = osp.join(args.data, "stats.txt")
@@ -186,20 +190,17 @@ def _cmd_train(args) -> int:
                                  **{k: v for k, v in settings.items() if k.startswith("model.")}}))
 
     reports, records = [], []
-    last_model = None
-    for seed in train_cfg.seeds:
-        model = build_model(args.model, aug_cfg.out_size, stream(seed, "init"), **kwargs)
+    for seed, model in zip(train_cfg.seeds, models):
         record, state, report = fit(train_windows, val_windows, args.model,
                                     train_cfg, aug_cfg, seed, stats=stats, model=model)
         write_checkpoint(osp.join(args.out, f"model_seed{seed}.ckpt"), state)
         _write_run_csv(osp.join(args.out, f"run_seed{seed}.csv"), record)
         reports.append(report)
         records.append(record)
-        last_model = model
         print(f"seed {seed}: best epoch {record.best_epoch} "
               f"val_loss {record.best_val_loss:.4f} auc {report.roc_auc:.4f}")
 
-    rows = [results_row(args.model, last_model, records, reports, aug_cfg.out_size)]
+    rows = [results_row(args.model, models[-1], records, reports, aug_cfg.out_size)]
     write_metrics_csv(rows, osp.join(args.out, "metrics.csv"))
     print(f"wrote {osp.join(args.out, 'metrics.csv')}")
     return EXIT_OK

@@ -56,12 +56,6 @@ def _coerce(current, text: str):
             return tuple(tuple(int(p) for p in item.split(":")) for item in text.split(","))
         elem = type(current[0]) if current else float
         return tuple(elem(p) for p in text.split(","))
-    if current is None:
-        if text.lower() in ("none", "null"):
-            return None
-        if text.lower() in ("true", "false"):
-            return text.lower() == "true"
-        return text
     return text
 
 

@@ -57,9 +57,9 @@ def optimizer_step(kind: str, param: np.ndarray, grad: np.ndarray, lr: float,
         v += (1 - b2) * grad * grad
         m_hat = m / (1 - b1 ** t)
         v_hat = v / (1 - b2 ** t)
-        param -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
         if kind == ADAMW and weight_decay:
             param -= lr * weight_decay * param
+        param -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
     elif kind == RMSPROP:
         if weight_decay:
             grad = grad + weight_decay * param
@@ -100,7 +100,7 @@ class Optimizer:
 
     def step(self):
         for name, entry in self.registry.items():
-            if not entry.trainable:
+            if not entry.tensor.requires_grad:
                 continue
             lr = self.group_lrs[entry.group]
             tensor = entry.tensor

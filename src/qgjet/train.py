@@ -1,9 +1,13 @@
 """Training protocol: seeded epochs over batches of 32 with the stochastic
-augmentation chain, optional mixup on the transformer path, soft-label
-cross-entropy, cosine-annealed head learning rate, staged unfreezing of the
+augmentation chain, soft-label cross-entropy, staged unfreezing of the
 deepest backbone blocks, early stopping on validation loss, and per-epoch
 metric snapshots. The default mode trains everything from scratch; staged
-mode starts with the backbone frozen and unfreezes per the schedule."""
+mode starts with the backbone frozen and unfreezes per the schedule.
+
+The policy is fixed. The head learning rate follows a cosine annealed once
+per epoch from ``head_lr`` over ``cosine_t_max`` epochs; unfrozen backbone
+blocks train at the constant ``unfrozen_lr``. Mixup runs exactly on the
+transformer path (``model.is_transformer_path``)."""
 from __future__ import annotations
 
 import math
@@ -41,13 +45,12 @@ class TrainConfig:
     optimizer: str = "adamw"
     seeds: tuple[int, ...] = (1, 2, 3)
     staged_unfreezing: bool = False
-    cosine_per_step: bool = False
-    anneal_unfrozen: bool = False
-    mixup_enabled: bool | None = None  # None: follow the model path
 
     def __post_init__(self):
         if self.patience < 1 or self.batch_size < 1:
             raise ValueError("patience and batch size must be at least 1")
+        if not self.seeds:
+            raise ValueError("at least one seed is required")
         if self.head_lr <= 0 or self.unfrozen_lr <= 0:
             raise ValueError("learning rates must be positive")
         if self.optimizer not in OPTIMIZER_KINDS:
@@ -151,7 +154,6 @@ def fit(train_windows: list[JetWindow], val_windows: list[JetWindow], model_kind
     if model is None:
         model = build_model(model_kind, aug.out_size, stream(seed, "init"))
     aug = replace(aug, imagenet_normalize=model.uses_imagenet_norm)
-    use_mixup = config.mixup_enabled if config.mixup_enabled is not None else model.is_transformer_path
 
     pre_train = np.stack([preprocess_window(w, stats) for w in train_windows])
     train_labels = np.array([w.label for w in train_windows], dtype=np.int64)
@@ -177,13 +179,8 @@ def fit(train_windows: list[JetWindow], val_windows: list[JetWindow], model_kind
         epoch_start = time.perf_counter()
         if config.staged_unfreezing:
             apply_unfreeze_schedule(epoch, model, config)
-        if not config.cosine_per_step:
-            lr_head = cosine_lr(epoch, config.head_lr, config.cosine_t_max)
-            optimizer.set_group_lr(HEAD_GROUP, lr_head)
-        lr_unfrozen = config.unfrozen_lr
-        if config.anneal_unfrozen:
-            lr_unfrozen = cosine_lr(epoch, config.unfrozen_lr, config.cosine_t_max)
-            optimizer.set_group_lr(UNFROZEN_GROUP, lr_unfrozen)
+        lr_head = cosine_lr(epoch, config.head_lr, config.cosine_t_max)
+        optimizer.set_group_lr(HEAD_GROUP, lr_head)
 
         order = stream(seed, "shuffle", epoch).permutation(n)
         drop_rng = stream(seed, "dropout", epoch)
@@ -191,14 +188,11 @@ def fit(train_windows: list[JetWindow], val_windows: list[JetWindow], model_kind
         loss_sum = 0.0
         for start in range(0, n, config.batch_size):
             idx = order[start:start + config.batch_size]
-            if config.cosine_per_step:
-                lr_head = cosine_lr(record.optimizer_steps, config.head_lr, config.cosine_t_max)
-                optimizer.set_group_lr(HEAD_GROUP, lr_head)
             batch = np.stack([
                 train_transform(pre_train[i], aug, stream(seed, "aug", epoch, int(i)))
                 for i in idx])
             labels = _one_hot(train_labels[idx])
-            if use_mixup:
+            if model.is_transformer_path:
                 perm = mix_rng.permutation(len(idx))
                 batch, labels = mixup((batch, labels), (batch[perm], labels[perm]),
                                       aug.mixup_alpha, mix_rng)
@@ -225,7 +219,7 @@ def fit(train_windows: list[JetWindow], val_windows: list[JetWindow], model_kind
 
         record.epochs.append(EpochStats(
             epoch=epoch, train_loss=train_loss, val_loss=val_loss, metrics=report,
-            lr_head=lr_head, lr_unfrozen=lr_unfrozen,
+            lr_head=lr_head, lr_unfrozen=config.unfrozen_lr,
             trainable_params=registry.n_trainable(),
             seconds=time.perf_counter() - epoch_start))
 

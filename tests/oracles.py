@@ -155,3 +155,60 @@ def dense_color_jitter(image: np.ndarray, jitter_bcs: float, jitter_hue: float,
             x = stacked_hsv_to_rgb(hsv) * 255.0
         x = np.clip(x, 0.0, 255.0)
     return x
+
+
+def straightline_optimizer(kind: str, p0: np.ndarray, grads, lr: float, wd: float) -> np.ndarray:
+    """Parameters after one step per gradient in ``grads``, in float64, with
+    every moment written out step by step from the published update rules.
+
+    adamw: Adam moments with the decay of the pre-update parameter
+    decoupled from the gradient (Loshchilov & Hutter, arXiv:1711.05101,
+    Algorithm 2).
+    adam, rmsprop: the decay enters the gradient as an L2 term.
+    lion: the sign of the interpolated momentum plus the decoupled decay of
+    the pre-update parameter (Chen et al., arXiv:2302.06675, Algorithm 2).
+    """
+    p = np.array(p0, dtype=np.float64)
+    m = np.zeros_like(p)
+    v = np.zeros_like(p)
+    for t, g in enumerate(grads, start=1):
+        g = np.array(g, dtype=np.float64)
+        if kind in ("adam", "rmsprop"):
+            g = g + wd * p
+        if kind in ("adam", "adamw"):
+            m = 0.9 * m + 0.1 * g
+            v = 0.999 * v + 0.001 * g * g
+            m_hat = m / (1.0 - 0.9 ** t)
+            v_hat = v / (1.0 - 0.999 ** t)
+            decay = wd * p if kind == "adamw" else 0.0
+            p = p - lr * (m_hat / (np.sqrt(v_hat) + 1e-8) + decay)
+        elif kind == "rmsprop":
+            v = 0.99 * v + 0.01 * g * g
+            p = p - lr * g / (np.sqrt(v) + 1e-8)
+        elif kind == "lion":
+            c = 0.9 * m + 0.1 * g
+            p = p - lr * (np.sign(c) + wd * p)
+            m = 0.99 * m + 0.01 * g
+        else:
+            raise ValueError(kind)
+    return p
+
+
+def straightline_intensity_pgm(images, log: bool) -> bytes:
+    """P5 bytes of the per-pixel mean of same-shape 2-D float32 images.
+
+    The sum runs in float32 in list order and is divided by the count, as a
+    float32 mean over a stacked leading axis rounds; the mapping then runs in
+    float64: log10(v + 1e-6) if ``log``, the affine map of [min, max] onto
+    [0, 255] (all zero for a flat map), and round half to even.
+    """
+    total = np.zeros(images[0].shape, dtype=np.float32)
+    for image in images:
+        total = total + image
+    v = (total / np.float32(len(images))).astype(np.float64)
+    if log:
+        v = np.log10(v + 1e-6)
+    lo, hi = v.min(), v.max()
+    grey = np.rint((v - lo) / (hi - lo) * 255.0) if hi > lo else np.zeros_like(v)
+    h, w = v.shape
+    return f"P5\n{w} {h}\n255\n".encode("ascii") + grey.astype(np.uint8).tobytes()

@@ -3,8 +3,10 @@ import csv
 import numpy as np
 import pytest
 
+from oracles import straightline_intensity_pgm
 from qgjet.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
-from qgjet.datastore import read_checkpoint, write_checkpoint
+from qgjet.datastore import read_checkpoint, read_dataset, write_checkpoint, write_dataset
+from qgjet.detector import GLUON, QUARK, Channel
 
 
 @pytest.fixture(scope="module")
@@ -66,8 +68,8 @@ def test_eval_warns_on_degenerate_metrics(trained, data_dir, capsys):
 TINY = ("--set", "aug.out_size=32", "--set", "max_epochs=1")
 
 
-def _train(data_dir, out, *args):
-    return main(["train", "--data", str(data_dir), "--model", "conv", "--out", str(out),
+def _train(data_dir, out, *args, model="conv"):
+    return main(["train", "--data", str(data_dir), "--model", model, "--out", str(out),
                  *TINY, *args])
 
 
@@ -75,9 +77,11 @@ def _train(data_dir, out, *args):
     "model.bogus.x=1", "model.conv.widths=a",
     # the input size is aug.out_size and the class count is 2: neither is a setting
     "model.vit.image_size=64", "model.conv.image_size=999", "model.hybrid.num_classes=3",
-    "model.vit.num_classes=3"))
+    "model.vit.num_classes=3",
+    "model.vit.patch_size=7"))  # 32 is not a multiple of 7: rejected when the model is built
 def test_bad_model_setting_is_a_usage_error(data_dir, tmp_path, setting):
-    assert _train(data_dir, tmp_path / "run", "--seeds", "1", "--set", setting) == EXIT_USAGE
+    assert _train(data_dir, tmp_path / "run", "--seeds", "1", "--set", setting,
+                  model="vit") == EXIT_USAGE
     assert not (tmp_path / "run").exists()
 
 
@@ -90,6 +94,18 @@ def test_seeds_flag_runs_seeds_one_to_n(data_dir, tmp_path):
     assert _train(data_dir, tmp_path, "--seeds", "2") == EXIT_OK
     assert sorted(p.name for p in tmp_path.glob("*.ckpt")) == ["model_seed1.ckpt",
                                                               "model_seed2.ckpt"]
+
+
+def test_zero_seeds_is_a_usage_error(data_dir, tmp_path):
+    assert _train(data_dir, tmp_path / "run", "--seeds", "0") == EXIT_USAGE
+    assert not (tmp_path / "run").exists()
+
+
+def test_seeds_flag_wins_over_a_seeds_setting_of_the_same_length(data_dir, tmp_path):
+    assert _train(data_dir, tmp_path, "--seeds", "2", "--set", "seeds=7,8") == EXIT_OK
+    assert sorted(p.name for p in tmp_path.glob("*.ckpt")) == ["model_seed1.ckpt",
+                                                              "model_seed2.ckpt"]
+    assert "seeds = 1,2\n" in (tmp_path / "run_config.txt").read_text()
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
@@ -141,3 +157,25 @@ def test_error_exit_codes(case, code, data_dir, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.count("error: ") == 1 and err.endswith("\n")
     assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("scale", ("log", "linear"))
+@pytest.mark.parametrize("label, channel", [("q", "track"), ("g", "ecal"), ("g", "hcal")])
+def test_render_matches_oracle(data_dir, tmp_path, label, channel, scale):
+    out = tmp_path / "map.pgm"
+    assert main(["render", "--data", str(data_dir / "train.jqg"), "--label", label,
+                 "--channel", channel, "--scale", scale, "--out", str(out)]) == EXIT_OK
+    want = QUARK if label == "q" else GLUON
+    images = [w.data[Channel[channel.upper()]] for w in read_dataset(data_dir / "train.jqg")
+              if w.label == want]
+    assert len(images) == 8
+    assert out.read_bytes() == straightline_intensity_pgm(images, log=scale == "log")
+
+
+def test_render_label_with_no_windows_is_a_usage_error(data_dir, tmp_path, capsys):
+    quarks = tmp_path / "quarks.jqg"
+    write_dataset(quarks, [w for w in read_dataset(data_dir / "train.jqg") if w.label == QUARK])
+    assert main(["render", "--data", str(quarks), "--label", "g", "--channel", "ecal",
+                 "--out", str(tmp_path / "map.pgm")]) == EXIT_USAGE
+    assert "no windows with label 'g'" in capsys.readouterr().err
+    assert not (tmp_path / "map.pgm").exists()

@@ -5,10 +5,10 @@ from qgjet.config import apply_settings, format_resolved, parse_kv_file
 from qgjet.models import ConvConfig, HybridConfig, ViTConfig
 from qgjet.train import TrainConfig
 
-# one non-default value per field kind: float, int, str, bool, optional bool,
-# int tuple, float tuple and the (epoch, n) unfreeze schedule
+# one non-default value per field kind: float, int, str, bool, int tuple,
+# float tuple and the (epoch, n) unfreeze schedule
 TRAIN = TrainConfig(head_lr=3e-4, max_epochs=7, optimizer="lion", seeds=(4, 9),
-                    staged_unfreezing=True, mixup_enabled=False, unfreeze_schedule=((0, 1), (2, 3)))
+                    staged_unfreezing=True, unfreeze_schedule=((0, 1), (2, 3)))
 AUG = AugmentConfig(crop_scale=(0.5, 0.9), out_size=48, color_jitter=False, max_rotation_deg=12.5)
 MODEL = {"model.conv.widths": "8,16", "model.vit.depth": "2", "model.hybrid.dropout": "0.3"}
 
