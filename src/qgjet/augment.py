@@ -82,10 +82,6 @@ def imagenet_normalize(image: np.ndarray) -> np.ndarray:
     return ((image - IMAGENET_MEAN[:, None, None]) / IMAGENET_STD[:, None, None]).astype(np.float32)
 
 
-def imagenet_denormalize(image: np.ndarray) -> np.ndarray:
-    return (image * IMAGENET_STD[:, None, None] + IMAGENET_MEAN[:, None, None]).astype(np.float32)
-
-
 def _sample_zero_fill(image: np.ndarray, src_y: np.ndarray, src_x: np.ndarray) -> np.ndarray:
     """Bilinear lookup of HWC float image at 1-D fractional source
     coordinates; taps outside the frame read zero. Returns [N, C]."""

@@ -6,8 +6,8 @@ Without an active tape the same functions run as plain forward math, which
 is the evaluation path. Gradients accumulate into ``Tensor.grad``; callers
 zero them explicitly between optimizer steps.
 
-Compute defaults to float32; gradient verification runs the same code on
-float64 tensors.
+Compute defaults to float32; gradient verification (central differences on
+float64 tensors) lives with the tests, in ``tests/oracles.py``.
 """
 from __future__ import annotations
 
@@ -27,8 +27,8 @@ _active_tape: "Tape | None" = None
 class Tensor:
     __slots__ = ("data", "grad", "requires_grad")
 
-    def __init__(self, data, requires_grad: bool = False, dtype=None):
-        self.data = np.asarray(data, dtype=dtype)
+    def __init__(self, data, requires_grad: bool = False):
+        self.data = np.asarray(data)
         self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad
 
@@ -47,9 +47,6 @@ class Tensor:
     @property
     def dtype(self):
         return self.data.dtype
-
-    def zero_grad(self):
-        self.grad = None
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
@@ -118,8 +115,7 @@ def backward(tape: Tape, loss: Tensor):
 # ---------------------------------------------------------------------------
 # elementwise / structural ops
 
-def add(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
+def add(a: Tensor, b: Tensor) -> Tensor:
     out = Tensor(a.data + b.data)
 
     def bwd(g):
@@ -130,6 +126,7 @@ def add(a, b) -> Tensor:
 
 
 def mul(a, b) -> Tensor:
+    """Elementwise product; either operand may be a Python or numpy scalar."""
     a, b = _as_tensor(a), _as_tensor(b)
     out = Tensor(a.data * b.data)
 
@@ -143,7 +140,6 @@ def mul(a, b) -> Tensor:
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product; supports stacked ``a`` against rank-2 ``b`` and
     equal-rank batched operands."""
-    a, b = _as_tensor(a), _as_tensor(b)
     if a.shape[-1] != b.shape[-2]:
         raise ValueError(f"matmul inner dims disagree: {a.shape} @ {b.shape}")
     if not (b.ndim == 2 or b.ndim == a.ndim):
@@ -164,7 +160,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def reshape(x: Tensor, shape) -> Tensor:
-    x = _as_tensor(x)
     out = Tensor(x.data.reshape(shape))
 
     def bwd(g):
@@ -174,7 +169,6 @@ def reshape(x: Tensor, shape) -> Tensor:
 
 
 def transpose(x: Tensor, axes) -> Tensor:
-    x = _as_tensor(x)
     out = Tensor(np.transpose(x.data, axes))
     inverse = np.argsort(axes)
 
@@ -186,7 +180,6 @@ def transpose(x: Tensor, axes) -> Tensor:
 
 def index(x: Tensor, idx) -> Tensor:
     """Basic (non-repeating) slice/integer indexing."""
-    x = _as_tensor(x)
     out = Tensor(x.data[idx])
 
     def bwd(g):
@@ -199,7 +192,6 @@ def index(x: Tensor, idx) -> Tensor:
 
 
 def concat(tensors, axis: int = -1) -> Tensor:
-    tensors = [_as_tensor(t) for t in tensors]
     out = Tensor(np.concatenate([t.data for t in tensors], axis=axis))
     sizes = [t.shape[axis] for t in tensors]
     splits = np.cumsum(sizes)[:-1]
@@ -212,7 +204,6 @@ def concat(tensors, axis: int = -1) -> Tensor:
 
 
 def broadcast_to(x: Tensor, shape) -> Tensor:
-    x = _as_tensor(x)
     out = Tensor(np.broadcast_to(x.data, shape).copy())
 
     def bwd(g):
@@ -221,27 +212,13 @@ def broadcast_to(x: Tensor, shape) -> Tensor:
     return _record(out, (x,), bwd)
 
 
-def sum_(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    x = _as_tensor(x)
-    out = Tensor(x.data.sum(axis=axis, keepdims=keepdims))
-
-    def bwd(g):
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
-        _accum(x, np.broadcast_to(g, x.shape).copy())
-
-    return _record(out, (x,), bwd)
-
-
-def mean_(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    x = _as_tensor(x)
-    out = Tensor(x.data.mean(axis=axis, keepdims=keepdims))
+def mean_(x: Tensor, axis) -> Tensor:
+    """Mean over ``axis`` (an int or a tuple of ints), which is dropped."""
+    out = Tensor(x.data.mean(axis=axis))
     count = x.size // out.size
 
     def bwd(g):
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
-        _accum(x, np.broadcast_to(g, x.shape) / count)
+        _accum(x, np.broadcast_to(np.expand_dims(g, axis), x.shape) / count)
 
     return _record(out, (x,), bwd)
 
@@ -250,7 +227,6 @@ def mean_(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 # nonlinearities and normalization
 
 def relu(x: Tensor) -> Tensor:
-    x = _as_tensor(x)
     out = Tensor(np.maximum(x.data, 0))
 
     def bwd(g):
@@ -261,7 +237,6 @@ def relu(x: Tensor) -> Tensor:
 
 def gelu(x: Tensor) -> Tensor:
     """tanh-approximate GELU (within 1e-3 absolute of the erf form)."""
-    x = _as_tensor(x)
     u = _GELU_C * (x.data + _GELU_A * x.data ** 3)
     th = np.tanh(u)
     out = Tensor(0.5 * x.data * (1.0 + th))
@@ -276,7 +251,6 @@ def gelu(x: Tensor) -> Tensor:
 
 def softmax(x: Tensor) -> Tensor:
     """Numerically stable softmax over the last axis."""
-    x = _as_tensor(x)
     shifted = x.data - x.data.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     y = e / e.sum(axis=-1, keepdims=True)
@@ -289,12 +263,12 @@ def softmax(x: Tensor) -> Tensor:
     return _record(out, (x,), bwd)
 
 
-def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize over the last axis (population variance), then scale-shift."""
-    x, gamma, beta = _as_tensor(x), _as_tensor(gamma), _as_tensor(beta)
+def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
+    """Normalize over the last axis (population variance plus 1e-5), then
+    scale-shift."""
     mean = x.data.mean(axis=-1, keepdims=True)
     var = x.data.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + 1e-5)
     xhat = (x.data - mean) * inv
     out = Tensor(xhat * gamma.data + beta.data)
 
@@ -314,17 +288,12 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
 
 def dropout(x: Tensor, p: float, mode: str, rng: np.random.Generator | None = None) -> Tensor:
     """Inverted dropout: TRAIN zeroes with probability ``p`` and rescales
-    survivors by 1/(1-p); EVAL is the identity."""
+    survivors by 1/(1-p). In EVAL, or with ``p == 0``, it returns ``x``
+    itself and records nothing."""
     if not 0.0 <= p < 1.0:
         raise ValueError(f"dropout probability out of range: {p}")
-    x = _as_tensor(x)
     if mode == EVAL or p == 0.0:
-        out = Tensor(x.data.copy())
-
-        def bwd_eval(g):
-            _accum(x, g)
-
-        return _record(out, (x,), bwd_eval)
+        return x
     if mode != TRAIN:
         raise ValueError(f"unknown dropout mode: {mode!r}")
     if rng is None:
@@ -345,7 +314,6 @@ def cross_entropy_soft(logits: Tensor, target_probs: Tensor) -> Tensor:
     Targets must be probability vectors; rows off the simplex by more than
     1e-6 are rejected.
     """
-    logits, target_probs = _as_tensor(logits), _as_tensor(target_probs)
     if logits.shape != target_probs.shape:
         raise ValueError("logits/targets shape mismatch")
     row_sums = target_probs.data.sum(axis=-1)
@@ -405,35 +373,32 @@ def _col2im(cols: np.ndarray, x_shape, kh: int, kw: int, stride: int, pad: int):
 
 
 def conv2d(x: Tensor, kernels: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
-    """Cross-correlation of ``x`` ([C,H,W] or [B,C,H,W]) with kernels
+    """Cross-correlation of a batch ``x`` [B,C,H,W] with kernels
     [C_out,C_in,kh,kw]. Output spatial dims must tile exactly."""
-    x, kernels = _as_tensor(x), _as_tensor(kernels)
-    squeeze = x.ndim == 3
-    xd = x.data[None] if squeeze else x.data
-    if xd.ndim != 4 or kernels.ndim != 4 or xd.shape[1] != kernels.shape[1]:
+    if x.ndim != 4 or kernels.ndim != 4 or x.shape[1] != kernels.shape[1]:
         raise ValueError(f"conv2d shape mismatch: {x.shape} with kernels {kernels.shape}")
     co, ci, kh, kw = kernels.shape
-    cols, oh, ow = _im2col(xd, kh, kw, stride, padding)
+    cols, oh, ow = _im2col(x.data, kh, kw, stride, padding)
     kmat = kernels.data.reshape(co, ci * kh * kw)
-    res = np.matmul(kmat, cols).reshape(xd.shape[0], co, oh, ow)
-    out = Tensor(res[0] if squeeze else res)
+    out = Tensor(np.matmul(kmat, cols).reshape(x.shape[0], co, oh, ow))
 
     def bwd(g):
-        gd = g[None] if squeeze else g
-        gmat = gd.reshape(gd.shape[0], co, oh * ow)
+        gmat = g.reshape(g.shape[0], co, oh * ow)
         if kernels.requires_grad:
             gk = np.einsum("bop,bcp->oc", gmat, cols).reshape(co, ci, kh, kw)
             _accum(kernels, gk)
         if x.requires_grad:
             gcols = np.matmul(kmat.T, gmat)
-            gx = _col2im(gcols, xd.shape, kh, kw, stride, padding)
-            _accum(x, gx[0] if squeeze else gx)
+            _accum(x, _col2im(gcols, x.shape, kh, kw, stride, padding))
 
     return _record(out, (x, kernels), bwd)
 
 
 # ---------------------------------------------------------------------------
 # parameters
+
+HEAD_GROUP = "head"  # learning-rate group of every parameter until it is unfrozen
+
 
 class ParamEntry:
     __slots__ = ("tensor", "group")
@@ -459,7 +424,7 @@ class ParameterRegistry:
         if name in self._entries:
             raise ValueError(f"duplicate parameter name: {name}")
         tensor.requires_grad = True
-        self._entries[name] = ParamEntry(tensor, "head")
+        self._entries[name] = ParamEntry(tensor, HEAD_GROUP)
         return tensor
 
     def __getitem__(self, name: str) -> ParamEntry:
@@ -468,16 +433,14 @@ class ParameterRegistry:
     def items(self):
         return self._entries.items()
 
-    def set_trainable(self, prefix: str, trainable: bool, group: str | None = None) -> int:
-        """Freeze or unfreeze every parameter under ``prefix``; returns scalar count touched."""
-        touched = 0
+    def set_trainable(self, prefix: str, trainable: bool, group: str | None = None) -> None:
+        """Freeze or unfreeze every parameter under ``prefix``, optionally
+        moving it to learning-rate ``group``."""
         for name, entry in self._entries.items():
             if name == prefix or name.startswith(prefix + "."):
                 entry.tensor.requires_grad = trainable
                 if group is not None:
                     entry.group = group
-                touched += entry.tensor.size
-        return touched
 
     def n_trainable(self) -> int:
         return sum(e.tensor.size for e in self._entries.values() if e.tensor.requires_grad)
@@ -499,38 +462,3 @@ class ParameterRegistry:
                 raise ValueError(f"shape mismatch for {name}: {arr.shape} vs {entry.tensor.shape}")
             entry.tensor.data = arr.astype(entry.tensor.dtype).copy()
 
-
-# ---------------------------------------------------------------------------
-# verification
-
-def grad_check(f, inputs: list[Tensor], eps: float = 1e-6) -> float:
-    """Max relative error between tape gradients and central differences.
-
-    ``f`` must be a deterministic closure over ``inputs`` returning a scalar
-    Tensor; run it with float64 tensors for meaningful tolerances.
-    """
-    for t in inputs:
-        t.requires_grad = True
-        t.grad = None
-    with Tape() as tape:
-        out = f()
-    if out.size != 1:
-        raise ValueError("grad_check expects a scalar function")
-    backward(tape, out)
-    analytic = [np.zeros_like(t.data) if t.grad is None else t.grad.copy() for t in inputs]
-
-    max_err = 0.0
-    for t, ga in zip(inputs, analytic):
-        flat = t.data.reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + eps
-            f_plus = float(f().data)
-            flat[i] = orig - eps
-            f_minus = float(f().data)
-            flat[i] = orig
-            numeric = (f_plus - f_minus) / (2.0 * eps)
-            a = float(ga.reshape(-1)[i])
-            err = abs(a - numeric) / max(1e-8, abs(a) + abs(numeric))
-            max_err = max(max_err, err)
-    return max_err

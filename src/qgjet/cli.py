@@ -101,14 +101,6 @@ def _read_settings(args) -> dict[str, str]:
     return settings
 
 
-def _resolve(settings: dict[str, str]):
-    from .augment import AugmentConfig
-    from .config import apply_settings
-    from .train import TrainConfig
-
-    return apply_settings(TrainConfig(), AugmentConfig(), settings)
-
-
 class UsageError(ValueError):
     pass
 
@@ -163,7 +155,7 @@ def _cmd_train(args) -> int:
     import os.path as osp
     from dataclasses import replace as dc_replace
 
-    from .config import format_resolved
+    from .config import apply_settings, format_resolved
     from .datastore import (read_stats, write_checkpoint, write_metrics_csv, write_stats)
     from .models import build_model
     from .preprocess import compute_channel_stats
@@ -171,7 +163,7 @@ def _cmd_train(args) -> int:
     from .train import fit, results_row
 
     settings = _read_settings(args)
-    train_cfg, aug_cfg, kwargs = _resolve(settings)
+    train_cfg, aug_cfg, kwargs = apply_settings(settings)
     if args.seeds is not None:
         train_cfg = dc_replace(train_cfg, seeds=tuple(range(1, args.seeds + 1)))
     # build every seed's model first, so a bad model setting writes nothing
@@ -231,7 +223,7 @@ def _cmd_eval(args) -> int:
 
     import numpy as np
 
-    from .config import parse_kv_file
+    from .config import apply_settings, parse_kv_file
     from .augment import validation_transform
     from .datastore import DataFormatError, read_checkpoint, read_dataset, read_stats
     from .metrics import compute_metrics
@@ -244,7 +236,7 @@ def _cmd_eval(args) -> int:
     if "model" not in settings:
         raise DataFormatError(f"{config_path} has no 'model' entry naming the architecture")
     model_kind = settings.pop("model")
-    train_cfg, aug_cfg, kwargs = _resolve(settings)
+    train_cfg, aug_cfg, kwargs = apply_settings(settings)
 
     stats_path = args.stats or osp.join(osp.dirname(args.checkpoint) or ".", "stats.txt")
     stats = read_stats(stats_path)
@@ -273,11 +265,12 @@ def _cmd_eval(args) -> int:
 def _cmd_sweep(args) -> int:
     import os.path as osp
 
+    from .config import apply_settings
     from .datastore import write_metrics_csv
     from .preprocess import compute_channel_stats
     from .sweep import parse_values, run_sweep
 
-    train_cfg, aug_cfg, kwargs = _resolve(_read_settings(args))
+    train_cfg, aug_cfg, kwargs = apply_settings(_read_settings(args))
     values = parse_values(args.axis, [v for v in args.values.split(",") if v])
 
     train_windows, val_windows = _load_split(args.data)

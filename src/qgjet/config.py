@@ -59,14 +59,13 @@ def _coerce(current, text: str):
     return text
 
 
-def apply_settings(train_cfg: TrainConfig, aug_cfg: AugmentConfig,
-                   settings: dict[str, str]):
-    """Resolve flat settings onto the config dataclasses.
+def apply_settings(settings: dict[str, str]):
+    """Resolve flat settings onto the default config dataclasses.
 
     Returns (train config, augment config, ``build_model`` keyword arguments
     from the ``model.*`` keys).
     """
-    model_kwargs: dict = {}
+    train_cfg, aug_cfg, model_kwargs = TrainConfig(), AugmentConfig(), {}
     train_fields = {f.name for f in dataclasses.fields(TrainConfig)}
     aug_fields = {f.name for f in dataclasses.fields(AugmentConfig)}
     for key, value in settings.items():

@@ -69,18 +69,6 @@ class JetWindow:
     label: int | None = None  # QUARK=1, GLUON=0
 
 
-def eta_from_theta(theta: float) -> float:
-    """Pseudorapidity -ln(tan(theta/2)) for polar angle theta in (0, pi)."""
-    if not 0.0 < theta < math.pi:
-        raise ValueError(f"theta must lie in (0, pi), got {theta}")
-    return -math.log(math.tan(0.5 * theta))
-
-
-def pt_from_components(px: float, py: float) -> float:
-    """Transverse momentum sqrt(px^2 + py^2)."""
-    return math.hypot(px, py)
-
-
 def wrap_phi(phi):
     """Map any angle into [-pi, pi); the +pi boundary folds onto -pi."""
     return phi - TWO_PI * np.floor((phi + math.pi) / TWO_PI)

@@ -25,8 +25,8 @@ class MetricReport:
         return {name: getattr(self, name) for name in METRIC_NAMES}
 
 
-def confusion_and_prf(scores, labels, threshold: float = 0.5):
-    """Hard predictions at ``score >= threshold``.
+def confusion_and_prf(scores, labels):
+    """Hard predictions at ``score >= 0.5``.
 
     Returns (confusion [2,2] with rows = true label, cols = predicted label,
     accuracy, precision, recall, f1, degenerate). Zero-denominator metrics
@@ -34,7 +34,7 @@ def confusion_and_prf(scores, labels, threshold: float = 0.5):
     """
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
-    pred = (scores >= threshold).astype(np.int64)
+    pred = (scores >= 0.5).astype(np.int64)
     tp = int(np.sum((pred == 1) & (labels == 1)))
     tn = int(np.sum((pred == 0) & (labels == 0)))
     fp = int(np.sum((pred == 1) & (labels == 0)))
@@ -83,9 +83,8 @@ def roc_auc(scores, labels) -> float:
     return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
 
-def compute_metrics(scores, labels, threshold: float = 0.5) -> MetricReport:
-    confusion, accuracy, precision, recall, f1, degenerate = confusion_and_prf(
-        scores, labels, threshold)
+def compute_metrics(scores, labels) -> MetricReport:
+    confusion, accuracy, precision, recall, f1, degenerate = confusion_and_prf(scores, labels)
     return MetricReport(accuracy=accuracy, precision=precision, recall=recall,
                         f1=f1, roc_auc=roc_auc(scores, labels), confusion=confusion,
                         degenerate=degenerate)
@@ -101,14 +100,13 @@ def aggregate_seeds(reports: list[MetricReport]) -> dict[str, tuple[float, float
     return out
 
 
-def measure_inference_ms(forward, input_shape, n_passes: int = 30, warmup: int = 5,
-                         rng: np.random.Generator | None = None) -> float:
-    """Mean wall-clock milliseconds of ``forward`` on one random image."""
-    rng = rng or np.random.default_rng(0)
-    image = rng.random((1,) + tuple(input_shape)).astype(np.float32)
-    for _ in range(warmup):
+def measure_inference_ms(forward, input_shape) -> float:
+    """Mean wall-clock milliseconds of ``forward`` on one random image
+    (seed 0): 5 warm-up passes, then the mean of 30 timed passes."""
+    image = np.random.default_rng(0).random((1,) + tuple(input_shape)).astype(np.float32)
+    for _ in range(5):
         forward(image)
     start = time.perf_counter()
-    for _ in range(n_passes):
+    for _ in range(30):
         forward(image)
-    return (time.perf_counter() - start) / n_passes * 1000.0
+    return (time.perf_counter() - start) / 30 * 1000.0

@@ -55,8 +55,9 @@ class HybridConfig:
     dropout: float = 0.1
 
 
-def trunc_normal(rng: np.random.Generator, shape, std: float = 0.02, dtype=np.float32) -> np.ndarray:
-    return np.clip(rng.normal(0.0, std, size=shape), -2 * std, 2 * std).astype(dtype)
+def trunc_normal(rng: np.random.Generator, shape, dtype=np.float32) -> np.ndarray:
+    """Normal(0, 0.02) initial weights clipped at two standard deviations."""
+    return np.clip(rng.normal(0.0, 0.02, size=shape), -0.04, 0.04).astype(dtype)
 
 
 def _linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -88,9 +89,7 @@ class MultiHeadSelfAttention:
         return ad.transpose(x, (0, 2, 1, 3))
 
     def __call__(self, x: Tensor) -> Tensor:
-        squeeze = x.ndim == 2
-        if squeeze:
-            x = ad.reshape(x, (1,) + x.shape)
+        """[B, N, D] -> [B, N, D]."""
         batch, seq, _ = x.shape
         q = self._split_heads(_linear(x, self.p["wq"], self.p["bq"]), batch, seq)
         k = self._split_heads(ad.matmul(x, self.p["wk"]), batch, seq)
@@ -99,10 +98,7 @@ class MultiHeadSelfAttention:
         attn = ad.softmax(scores)
         ctx = ad.matmul(attn, v)
         ctx = ad.reshape(ad.transpose(ctx, (0, 2, 1, 3)), (batch, seq, self.dim))
-        out = _linear(ctx, self.p["wo"], self.p["bo"])
-        if squeeze:
-            out = ad.reshape(out, out.shape[1:])
-        return out
+        return _linear(ctx, self.p["wo"], self.p["bo"])
 
 
 class EncoderBlock:
@@ -173,8 +169,7 @@ class TinyViT:
         cls = ad.broadcast_to(self.cls, (b, 1, self.cfg.embed_dim))
         return ad.add(ad.concat([cls, tokens], axis=1), self.pos)
 
-    def features(self, images: Tensor, mode: str = EVAL,
-                 rng: np.random.Generator | None = None) -> Tensor:
+    def features(self, images: Tensor) -> Tensor:
         x = self.patch_embed(images)
         for block in self.blocks:
             x = block(x)
@@ -183,7 +178,7 @@ class TinyViT:
 
     def forward(self, images: Tensor, mode: str = EVAL,
                 rng: np.random.Generator | None = None) -> Tensor:
-        return _linear(self.features(images, mode, rng), self.head_w, self.head_b)
+        return _linear(self.features(images), self.head_w, self.head_b)
 
     def block_prefixes(self) -> list[str]:
         return [f"{self._prefix}blocks.{i}" for i in range(self.cfg.depth)]
@@ -225,8 +220,7 @@ class TinyConvNet:
         self._prefix = pre
         self.feature_dim = cfg.feature_dim
 
-    def features(self, images: Tensor, mode: str = EVAL,
-                 rng: np.random.Generator | None = None) -> Tensor:
+    def features(self, images: Tensor) -> Tensor:
         x = images
         pad = self.cfg.kernel // 2
         for k, b in zip(self.kernels, self.biases):
@@ -236,7 +230,7 @@ class TinyConvNet:
 
     def forward(self, images: Tensor, mode: str = EVAL,
                 rng: np.random.Generator | None = None) -> Tensor:
-        return _linear(self.features(images, mode, rng), self.head_w, self.head_b)
+        return _linear(self.features(images), self.head_w, self.head_b)
 
     def block_prefixes(self) -> list[str]:
         return [f"{self._prefix}stages.{i}" for i in range(len(self.cfg.widths))]
@@ -273,13 +267,12 @@ class HybridModel:
         h1 = ad.dropout(h1, self.cfg.dropout, mode, rng)
         return _linear(h1, self.w2, self.b2)
 
-    def features(self, images: Tensor, mode: str = EVAL,
-                 rng: np.random.Generator | None = None) -> list[Tensor]:
-        return [b.features(images, mode, rng) for b in self.backbones]
+    def features(self, images: Tensor) -> list[Tensor]:
+        return [b.features(images) for b in self.backbones]
 
     def forward(self, images: Tensor, mode: str = EVAL,
                 rng: np.random.Generator | None = None) -> Tensor:
-        return self.head(self.features(images, mode, rng), mode, rng)
+        return self.head(self.features(images), mode, rng)
 
     def block_prefixes(self) -> list[str]:
         # staged unfreezing targets the primary transformer's encoder blocks

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import autodiff as ad
+from .autodiff import HEAD_GROUP
 from .augment import AugmentConfig, mixup, train_transform, validation_transform
 from .detector import JetWindow
 from .metrics import MetricReport, aggregate_seeds, compute_metrics, measure_inference_ms
@@ -28,7 +29,6 @@ from .rng import stream
 CONTINUE = "continue"
 STOP = "stop"
 
-HEAD_GROUP = "head"
 UNFROZEN_GROUP = "unfrozen"
 
 
@@ -47,8 +47,10 @@ class TrainConfig:
     staged_unfreezing: bool = False
 
     def __post_init__(self):
-        if self.patience < 1 or self.batch_size < 1:
-            raise ValueError("patience and batch size must be at least 1")
+        if min(self.patience, self.batch_size, self.max_epochs, self.cosine_t_max) < 1:
+            raise ValueError("patience, batch size, max epochs and cosine t_max must be at least 1")
+        if any(epoch < 0 or n_last < 1 for epoch, n_last in self.unfreeze_schedule):
+            raise ValueError("unfreeze schedule entries need epoch >= 0 and at least 1 block")
         if not self.seeds:
             raise ValueError("at least one seed is required")
         if self.head_lr <= 0 or self.unfrozen_lr <= 0:

@@ -3,10 +3,14 @@
 These deliberately avoid the library's composed functions: each oracle is a
 single block of inline numpy so the production chain is checked against a
 second, structurally different derivation of the same published formulas.
+The two tape helpers at the end, ``sum_`` and the central-difference
+``grad_check``, serve the gradient tests; the library itself never calls them.
 """
 import math
 
 import numpy as np
+
+from qgjet.autodiff import Tape, Tensor, _accum, _record, backward
 
 
 def straightline_preprocess(window: np.ndarray, mu: np.ndarray, sigma: np.ndarray,
@@ -212,3 +216,47 @@ def straightline_intensity_pgm(images, log: bool) -> bytes:
     grey = np.rint((v - lo) / (hi - lo) * 255.0) if hi > lo else np.zeros_like(v)
     h, w = v.shape
     return f"P5\n{w} {h}\n255\n".encode("ascii") + grey.astype(np.uint8).tobytes()
+
+
+def sum_(x: Tensor) -> Tensor:
+    """Sum of every element, recorded on the tape: the scalar that the
+    gradient tests differentiate."""
+    out = Tensor(x.data.sum())
+
+    def bwd(g):
+        _accum(x, np.broadcast_to(g, x.shape).copy())
+
+    return _record(out, (x,), bwd)
+
+
+def grad_check(f, inputs: list[Tensor], eps: float = 1e-6) -> float:
+    """Max relative error between tape gradients and central differences.
+
+    ``f`` must be a deterministic closure over ``inputs`` returning a scalar
+    Tensor; run it with float64 tensors for meaningful tolerances.
+    """
+    for t in inputs:
+        t.requires_grad = True
+        t.grad = None
+    with Tape() as tape:
+        out = f()
+    if out.size != 1:
+        raise ValueError("grad_check expects a scalar function")
+    backward(tape, out)
+    analytic = [np.zeros_like(t.data) if t.grad is None else t.grad.copy() for t in inputs]
+
+    max_err = 0.0
+    for t, ga in zip(inputs, analytic):
+        flat = t.data.reshape(-1)
+        for i in range(flat.size):
+            orig = flat[i]
+            flat[i] = orig + eps
+            f_plus = float(f().data)
+            flat[i] = orig - eps
+            f_minus = float(f().data)
+            flat[i] = orig
+            numeric = (f_plus - f_minus) / (2.0 * eps)
+            a = float(ga.reshape(-1)[i])
+            err = abs(a - numeric) / max(1e-8, abs(a) + abs(numeric))
+            max_err = max(max_err, err)
+    return max_err

@@ -78,7 +78,9 @@ def _train(data_dir, out, *args, model="conv"):
     # the input size is aug.out_size and the class count is 2: neither is a setting
     "model.vit.image_size=64", "model.conv.image_size=999", "model.hybrid.num_classes=3",
     "model.vit.num_classes=3",
-    "model.vit.patch_size=7"))  # 32 is not a multiple of 7: rejected when the model is built
+    "model.vit.patch_size=7",  # 32 is not a multiple of 7: rejected when the model is built
+    # training settings that crashed or opened every block before any check
+    "max_epochs=0", "cosine_t_max=0", "unfreeze_schedule=0:0", "unfreeze_schedule=-1:1"))
 def test_bad_model_setting_is_a_usage_error(data_dir, tmp_path, setting):
     assert _train(data_dir, tmp_path / "run", "--seeds", "1", "--set", setting,
                   model="vit") == EXIT_USAGE

@@ -16,14 +16,14 @@ MODEL = {"model.conv.widths": "8,16", "model.vit.depth": "2", "model.hybrid.drop
 def _round_trip(tmp_path, train, aug, model_settings):
     path = tmp_path / "run_config.txt"
     path.write_text(format_resolved(train, aug, model_settings))
-    return apply_settings(TrainConfig(), AugmentConfig(), parse_kv_file(path))
+    return apply_settings(parse_kv_file(path))
 
 
 def test_resolved_config_round_trips(tmp_path):
     train, aug, model = _round_trip(tmp_path, TRAIN, AUG, MODEL)
     assert train == TRAIN
     assert aug == AUG
-    assert model == apply_settings(TrainConfig(), AugmentConfig(), MODEL)[2]
+    assert model == apply_settings(MODEL)[2]
 
 
 def test_defaults_round_trip(tmp_path):
@@ -32,14 +32,13 @@ def test_defaults_round_trip(tmp_path):
 
 
 def test_model_settings_resolve_to_build_kwargs():
-    _, _, kwargs = apply_settings(TrainConfig(), AugmentConfig(), MODEL)
+    _, _, kwargs = apply_settings(MODEL)
     assert kwargs == {"conv_cfg": ConvConfig(widths=(8, 16)), "vit_cfg": ViTConfig(depth=2),
                       "hybrid_cfg": HybridConfig(dropout=0.3)}
 
 
 def test_repeated_group_keeps_every_field():
-    _, _, kwargs = apply_settings(TrainConfig(), AugmentConfig(),
-                                  {"model.vit.depth": "2", "model.vit.embed_dim": "32"})
+    _, _, kwargs = apply_settings({"model.vit.depth": "2", "model.vit.embed_dim": "32"})
     assert kwargs == {"vit_cfg": ViTConfig(depth=2, embed_dim=32)}
 
 
@@ -54,7 +53,11 @@ def test_repeated_group_keeps_every_field():
     ("staged_unfreezing", "maybe"),  # booleans are strict
     ("model.vit.image_size", "64"),  # the input size is aug.out_size
     ("model.hybrid.num_classes", "2"),  # the class count is fixed
+    ("max_epochs", "0"),             # fit would return no epoch
+    ("cosine_t_max", "0"),           # the cosine period divides
+    ("unfreeze_schedule", "0:0"),    # blocks[-0:] is every block
+    ("unfreeze_schedule", "-1:1"),
 ])
 def test_bad_settings_rejected(key, value):
     with pytest.raises(ValueError):
-        apply_settings(TrainConfig(), AugmentConfig(), {key: value})
+        apply_settings({key: value})

@@ -6,50 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qgjet.detector import (Channel, DetectorHit, EtaOutOfRange, FullDetectorImage,
-                            bin_hits, crop_jet_window, eta_from_theta,
-                            find_window_center, pt_from_components, upsample_hcal,
+                            bin_hits, crop_jet_window, find_window_center, upsample_hcal,
                             wrap_phi)
 
 
 def make_hit(eta, phi, value, channel=Channel.ECAL):
     return DetectorHit(eta, phi, value, channel)
-
-
-class TestEtaFromTheta:
-    def test_perpendicular_is_zero(self):
-        assert eta_from_theta(math.pi / 2) == pytest.approx(0.0, abs=1e-15)
-
-    def test_analytic_inverse(self):
-        theta = 2.0 * math.atan(math.exp(-1.0))
-        assert eta_from_theta(theta) == pytest.approx(1.0, abs=1e-15)
-
-    def test_pinned_value(self):
-        # high-precision evaluation of -ln(tan(0.375))
-        assert eta_from_theta(0.75) == pytest.approx(0.93235259594715840295, rel=1e-15)
-
-    def test_odd_symmetry(self):
-        for theta in (0.3, 1.0, 1.4):
-            assert eta_from_theta(math.pi - theta) == pytest.approx(-eta_from_theta(theta), abs=1e-12)
-
-    @pytest.mark.parametrize("theta", [0.0, math.pi, -0.1, 4.0])
-    def test_domain_error(self, theta):
-        with pytest.raises(ValueError):
-            eta_from_theta(theta)
-
-
-class TestPtFromComponents:
-    def test_three_four_five(self):
-        assert pt_from_components(3.0, 4.0) == 5.0
-
-    def test_zero(self):
-        assert pt_from_components(0.0, 0.0) == 0.0
-
-    def test_sign_invariance(self):
-        assert pt_from_components(-3.0, 4.0) == 5.0
-
-    @given(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3))
-    def test_non_negative(self, px, py):
-        assert pt_from_components(px, py) >= 0.0
 
 
 class TestBinHits:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from oracles import grad_check, sum_
 from qgjet import autodiff as ad
 from qgjet.autodiff import EVAL, TRAIN, ParameterRegistry, Tensor
 from qgjet.models import (ConvConfig, HybridConfig, MultiHeadSelfAttention,
@@ -63,7 +64,7 @@ class TestMHSA:
     def test_single_token_attention_is_identity_weight(self):
         reg = ParameterRegistry()
         attn = MultiHeadSelfAttention(reg, "attn", 8, 2, stream(1, "init"), dtype=np.float64)
-        x = np.random.default_rng(2).normal(size=(1, 8))
+        x = np.random.default_rng(2).normal(size=(1, 1, 8))
         out = attn(Tensor(x))
         v = x @ attn.p["wv"].data + attn.p["bv"].data
         expected = v @ attn.p["wo"].data + attn.p["bo"].data
@@ -74,10 +75,10 @@ class TestMHSA:
         attn = MultiHeadSelfAttention(reg, "attn", 8, 2, stream(3, "init"), dtype=np.float64)
         attn.p["wq"].data[:] = 0.0
         attn.p["bq"].data[:] = 0.0
-        x = np.random.default_rng(4).normal(size=(5, 8))
+        x = np.random.default_rng(4).normal(size=(1, 5, 8))
         out = attn(Tensor(x))
         v = x @ attn.p["wv"].data + attn.p["bv"].data
-        expected = np.tile(v.mean(axis=0), (5, 1)) @ attn.p["wo"].data + attn.p["bo"].data
+        expected = np.tile(v.mean(axis=1), (1, 5, 1)) @ attn.p["wo"].data + attn.p["bo"].data
         assert out.data == pytest.approx(expected, rel=1e-8)
 
     def test_attention_rows_sum_to_one(self):
@@ -117,7 +118,7 @@ class TestEncoderBlock:
         x = Tensor(gen.normal(size=(1, 4, 8)))
         w = Tensor(gen.normal(size=(1, 4, 8)))
         params = [block.attn.p[k] for k in ("wq", "wk", "wv", "wo")] + [block.w1, block.w2]
-        err = ad.grad_check(lambda: ad.sum_(ad.mul(block(x), w)), params, eps=1e-5)
+        err = grad_check(lambda: sum_(ad.mul(block(x), w)), params, eps=1e-5)
         assert err <= 1e-4
 
 
@@ -171,7 +172,7 @@ class TestViTForward:
         images = Tensor(mag * sgn)
         targets = Tensor(np.array([[0.7, 0.3], [0.2, 0.8]]))
         params = [e.tensor for _, e in model.registry.items()]
-        err = ad.grad_check(lambda: ad.cross_entropy_soft(model.forward(images), targets),
+        err = grad_check(lambda: ad.cross_entropy_soft(model.forward(images), targets),
                             params, eps=1e-4)
         assert err <= 1e-4
 

@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 from qgjet import autodiff as ad
+from qgjet.augment import AugmentConfig
 from qgjet.models import ConvConfig, ViTConfig, build_model
 from qgjet.rng import stream
-from qgjet.train import HEAD_GROUP, UNFROZEN_GROUP, TrainConfig, apply_unfreeze_schedule
+from qgjet.synth import generate_dataset, preset
+from qgjet.train import HEAD_GROUP, UNFROZEN_GROUP, TrainConfig, apply_unfreeze_schedule, fit
 
 SCHEDULE = ((1, 1), (3, 2))  # epoch 1: last block, epoch 3: last two blocks
 
@@ -71,3 +73,23 @@ def test_frozen_backbone_stays_off_the_tape(kind):
             assert entry.tensor.grad is None, name
         else:  # the head sees the same activations, so its gradient is unchanged
             assert np.array_equal(entry.tensor.grad, trained.registry[name].tensor.grad), name
+
+
+@pytest.fixture(scope="module")
+def split():
+    return (generate_dataset(preset("easy", seed=1), 8),
+            generate_dataset(preset("easy", seed=2), 4))
+
+
+@pytest.mark.parametrize("kind", ("vit", "conv"))
+def test_fit_is_reproducible(split, kind):
+    config = TrainConfig(batch_size=8, max_epochs=4, seeds=(1,))
+    runs = [fit(*split, kind, config, AugmentConfig(out_size=32), seed=1) for _ in range(2)]
+    (first, state, _), (second, state2, _) = runs
+    losses = [[(e.train_loss, e.val_loss) for e in r.epochs] for r in (first, second)]
+    assert len(losses[0]) == 4 and losses[0] == losses[1]
+    assert first.optimizer_steps == 4 * 2  # 16 windows in batches of 8
+    assert state.keys() == state2.keys()
+    assert all(state[k].tobytes() == state2[k].tobytes() for k in state)
+    if kind == "vit":
+        assert first.epochs[-1].train_loss < first.epochs[0].train_loss
