@@ -20,6 +20,7 @@ EXIT_DATA = 3
 EXIT_NUMERIC = 4
 
 DETERMINISTIC_ENV = "QGJET_DETERMINISTIC"
+MODEL_KINDS = ("vit", "conv", "hybrid2", "hybrid3")
 
 
 def _pin_threads():
@@ -52,7 +53,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train a classifier over the configured seeds")
     p.add_argument("--data", required=True, help="directory holding train.jqg and val.jqg")
-    p.add_argument("--model", choices=("vit", "conv", "hybrid2", "hybrid3"), required=True)
+    p.add_argument("--model", choices=MODEL_KINDS, required=True)
     p.add_argument("--config", help="key = value configuration file")
     p.add_argument("--seeds", type=int,
                    help="run seeds 1..N in place of the seeds setting "
@@ -69,9 +70,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="single-factor sensitivity sweep")
     p.add_argument("--axis", required=True)
-    p.add_argument("--values", required=True, help="comma-separated axis values")
+    p.add_argument("--values", required=True,
+                   help="comma-separated axis values, each resolved as settings: batch_size, "
+                        "optimizer, weight_decay -> same key; learning_rate -> head_lr; epochs "
+                        "-> max_epochs; dropout -> model.hybrid.dropout; model_size (tiny, small, "
+                        "base) -> model.vit.embed_dim, depth, heads; dataset_size -> no key, the "
+                        "fraction of training windows kept")
     p.add_argument("--data", required=True)
-    p.add_argument("--model", choices=("vit", "conv", "hybrid2", "hybrid3"), required=True)
+    p.add_argument("--model", choices=MODEL_KINDS, required=True)
     p.add_argument("--config", help="key = value configuration file")
     p.add_argument("--out", required=True)
     p.add_argument("--set", dest="overrides", action="append", default=[],
@@ -140,15 +146,20 @@ def _cmd_preprocess(args) -> int:
 
 
 def _load_split(data_dir: str):
+    """Train and val windows, and ``<data>/stats.txt`` or else the train windows' stats."""
     import os.path as osp
-    from .datastore import read_dataset
+    from .datastore import read_dataset, read_stats
+    from .preprocess import compute_channel_stats
 
     train_path = osp.join(data_dir, "train.jqg")
     val_path = osp.join(data_dir, "val.jqg")
     for path in (train_path, val_path):
         if not osp.exists(path):
             raise FileNotFoundError(f"expected dataset at {path}")
-    return read_dataset(train_path), read_dataset(val_path)
+    train_windows, val_windows = read_dataset(train_path), read_dataset(val_path)
+    stats_path = osp.join(data_dir, "stats.txt")
+    stats = read_stats(stats_path) if osp.exists(stats_path) else compute_channel_stats(train_windows)
+    return train_windows, val_windows, stats
 
 
 def _cmd_train(args) -> int:
@@ -156,9 +167,8 @@ def _cmd_train(args) -> int:
     from dataclasses import replace as dc_replace
 
     from .config import apply_settings, format_resolved
-    from .datastore import (read_stats, write_checkpoint, write_metrics_csv, write_stats)
+    from .datastore import write_checkpoint, write_metrics_csv, write_stats
     from .models import build_model
-    from .preprocess import compute_channel_stats
     from .rng import stream
     from .train import fit, results_row
 
@@ -170,10 +180,7 @@ def _cmd_train(args) -> int:
     models = [build_model(args.model, aug_cfg.out_size, stream(seed, "init"), **kwargs)
               for seed in train_cfg.seeds]
 
-    train_windows, val_windows = _load_split(args.data)
-    stats_path = osp.join(args.data, "stats.txt")
-    stats = read_stats(stats_path) if osp.exists(stats_path) else compute_channel_stats(train_windows)
-
+    train_windows, val_windows, stats = _load_split(args.data)
     os.makedirs(args.out, exist_ok=True)
     write_stats(osp.join(args.out, "stats.txt"), stats)
     with open(osp.join(args.out, "run_config.txt"), "w") as f:
@@ -265,18 +272,19 @@ def _cmd_eval(args) -> int:
 def _cmd_sweep(args) -> int:
     import os.path as osp
 
-    from .config import apply_settings
     from .datastore import write_metrics_csv
-    from .preprocess import compute_channel_stats
-    from .sweep import parse_values, run_sweep
+    from .models import build_model
+    from .rng import stream
+    from .sweep import resolve_sweep, run_sweep
 
-    train_cfg, aug_cfg, kwargs = apply_settings(_read_settings(args))
-    values = parse_values(args.axis, [v for v in args.values.split(",") if v])
+    runs = resolve_sweep(_read_settings(args), args.model, args.axis,
+                         [v for v in args.values.split(",") if v])
+    # build every run's model first, so a bad value reads no data and trains nothing
+    models = [build_model(args.model, aug.out_size, stream(train.seeds[0], "init"), **kwargs)
+              for _, _, train, aug, kwargs in runs]
 
-    train_windows, val_windows = _load_split(args.data)
-    stats = compute_channel_stats(train_windows)
-    rows = run_sweep(train_windows, val_windows, args.model, train_cfg, aug_cfg,
-                     args.axis, values, stats=stats, build_kwargs=kwargs)
+    train_windows, val_windows, stats = _load_split(args.data)
+    rows = run_sweep(train_windows, val_windows, args.model, runs, models, stats)
     os.makedirs(args.out, exist_ok=True)
     out_path = osp.join(args.out, f"sweep_{args.axis}.csv")
     write_metrics_csv(rows, out_path)

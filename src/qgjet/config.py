@@ -15,15 +15,15 @@ preprocessing constants are module constants, so none of them has a key.
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import replace
 
 from .augment import AugmentConfig
 from .models import ConvConfig, HybridConfig, ViTConfig
 from .train import TrainConfig
 
-# model.<arch> -> (config class, build_model keyword)
-MODEL_GROUPS = {"vit": (ViTConfig, "vit_cfg"), "conv": (ConvConfig, "conv_cfg"),
-                "hybrid": (HybridConfig, "hybrid_cfg")}
+# key prefix -> (config class, build_model keyword of a model config)
+GROUPS = {"": (TrainConfig, None), "aug.": (AugmentConfig, None),
+          "model.vit.": (ViTConfig, "vit_cfg"), "model.conv.": (ConvConfig, "conv_cfg"),
+          "model.hybrid.": (HybridConfig, "hybrid_cfg")}
 
 
 def parse_kv_file(path) -> dict[str, str]:
@@ -62,34 +62,31 @@ def _coerce(current, text: str):
 def apply_settings(settings: dict[str, str]):
     """Resolve flat settings onto the default config dataclasses.
 
+    Each config is built once from all of its settings, so key order never
+    matters, and a rejected value raises a ValueError that names its key.
     Returns (train config, augment config, ``build_model`` keyword arguments
     from the ``model.*`` keys).
     """
-    train_cfg, aug_cfg, model_kwargs = TrainConfig(), AugmentConfig(), {}
-    train_fields = {f.name for f in dataclasses.fields(TrainConfig)}
-    aug_fields = {f.name for f in dataclasses.fields(AugmentConfig)}
-    for key, value in settings.items():
-        if key.startswith("model."):
-            arch, _, name = key.removeprefix("model.").partition(".")
-            if not name:
-                raise ValueError(f"model settings use model.<arch>.<field>, got {key}")
-            if arch not in MODEL_GROUPS:
-                raise ValueError(f"unknown architecture group model.{arch}")
-            cls, kw = MODEL_GROUPS[arch]
-            cfg = model_kwargs.get(kw) or cls()
-            if name not in {f.name for f in dataclasses.fields(cls)}:
-                raise ValueError(f"unknown field model.{arch}.{name}")
-            model_kwargs[kw] = replace(cfg, **{name: _coerce(getattr(cfg, name), value)})
-        elif key.startswith("aug."):
-            name = key.removeprefix("aug.")
-            if name not in aug_fields:
-                raise ValueError(f"unknown augmentation setting: {name}")
-            aug_cfg = replace(aug_cfg, **{name: _coerce(getattr(aug_cfg, name), value)})
-        else:
-            if key not in train_fields:
-                raise ValueError(f"unknown training setting: {key}")
-            train_cfg = replace(train_cfg, **{key: _coerce(getattr(train_cfg, key), value)})
-    return train_cfg, aug_cfg, model_kwargs
+    coerced: dict[type, dict] = {}  # config class -> its coerced field values
+    named: dict[type, list[str]] = {}  # config class -> its "key=text" settings
+    for key, text in settings.items():
+        prefix, dot, name = key.rpartition(".")
+        cls, _ = GROUPS.get(prefix + dot, (None, None))
+        if cls is None or name not in {f.name for f in dataclasses.fields(cls)}:
+            raise ValueError(f"unknown setting: {key}")
+        try:  # a field's class attribute is its default
+            coerced.setdefault(cls, {})[name] = _coerce(getattr(cls, name), text)
+        except ValueError as exc:
+            raise ValueError(f"{key}={text}: {exc}") from exc
+        named.setdefault(cls, []).append(f"{key}={text}")
+    built = {}
+    for cls, values in coerced.items():
+        try:
+            built[cls] = cls(**values)
+        except ValueError as exc:
+            raise ValueError(f"{', '.join(named[cls])}: {exc}") from exc
+    return (built.get(TrainConfig, TrainConfig()), built.get(AugmentConfig, AugmentConfig()),
+            {kw: built[cls] for cls, kw in GROUPS.values() if kw and cls in built})
 
 
 def _format_value(value) -> str:

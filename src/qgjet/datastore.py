@@ -17,7 +17,7 @@ import struct
 
 import numpy as np
 
-from .detector import JetWindow
+from .detector import WINDOW_SIZE, JetWindow
 from .preprocess import ChannelStats
 
 DATASET_MAGIC = b"JQG1"
@@ -49,7 +49,7 @@ class SizeMismatch(DataFormatError):
 
 def write_dataset(path, windows: list[JetWindow]) -> None:
     if not windows:
-        shape = (3, 125, 125)
+        shape = (3, WINDOW_SIZE, WINDOW_SIZE)
     else:
         shape = windows[0].data.shape
         for w in windows:

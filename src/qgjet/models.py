@@ -54,6 +54,10 @@ class HybridConfig:
     hidden_dim: int = 512
     dropout: float = 0.1
 
+    def __post_init__(self):
+        if not 0.0 <= self.dropout < 1.0:
+            raise ValueError("hybrid dropout must be in [0, 1)")
+
 
 def trunc_normal(rng: np.random.Generator, shape, dtype=np.float32) -> np.ndarray:
     """Normal(0, 0.02) initial weights clipped at two standard deviations."""
@@ -283,9 +287,6 @@ class HybridModel:
         for b in self.backbones:
             out.extend(b.backbone_prefixes())
         return out
-
-
-MODEL_KINDS = ("vit", "conv", "hybrid2", "hybrid3")
 
 
 def build_model(kind: str, image_size: int, rng: np.random.Generator, dtype=np.float32,

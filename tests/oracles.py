@@ -3,14 +3,19 @@
 These deliberately avoid the library's composed functions: each oracle is a
 single block of inline numpy so the production chain is checked against a
 second, structurally different derivation of the same published formulas.
-The two tape helpers at the end, ``sum_`` and the central-difference
-``grad_check``, serve the gradient tests; the library itself never calls them.
+The sweep's earlier value parser and config edits are kept as the reference
+for its settings overlays. The two tape helpers at the end, ``sum_`` and the
+central-difference ``grad_check``, serve the gradient tests; the library
+itself never calls them.
 """
 import math
+from dataclasses import replace
 
 import numpy as np
 
 from qgjet.autodiff import Tape, Tensor, _accum, _record, backward
+from qgjet.models import HybridConfig, ViTConfig
+from qgjet.optim import OPTIMIZER_KINDS
 
 
 def straightline_preprocess(window: np.ndarray, mu: np.ndarray, sigma: np.ndarray,
@@ -216,6 +221,55 @@ def straightline_intensity_pgm(images, log: bool) -> bytes:
     grey = np.rint((v - lo) / (hi - lo) * 255.0) if hi > lo else np.zeros_like(v)
     h, w = v.shape
     return f"P5\n{w} {h}\n255\n".encode("ascii") + grey.astype(np.uint8).tobytes()
+
+
+# The sweep's earlier per-axis value parser and config edits, which every
+# axis value now replaces with a settings overlay through apply_settings.
+SWEEP_MODEL_SIZES = {"tiny": (32, 2, 2), "small": (64, 4, 4), "base": (128, 6, 8)}
+
+
+def parse_sweep_value(axis: str, raw: str):
+    if axis in ("dataset_size", "learning_rate", "weight_decay", "dropout"):
+        return float(raw)
+    if axis in ("batch_size", "epochs"):
+        return int(raw)
+    if axis == "optimizer":
+        if raw not in OPTIMIZER_KINDS:
+            raise ValueError(f"unknown optimizer {raw!r}")
+        return raw
+    if axis == "model_size":
+        if raw not in SWEEP_MODEL_SIZES:
+            raise ValueError(f"unknown model size {raw!r}")
+        return raw
+    raise ValueError(f"unknown sweep axis: {axis!r}")
+
+
+def sweep_run_configs(model_kind: str, base_train, base_aug, build_kwargs: dict, axis: str,
+                      raw: str):
+    """(row label, training-window fraction, train config, augment config,
+    ``build_model`` kwargs) of one sweep value, by per-axis ``replace``."""
+    value = parse_sweep_value(axis, raw)
+    train_cfg, kwargs, fraction = base_train, dict(build_kwargs), 1.0
+    if axis == "dataset_size":
+        fraction = value
+    elif axis == "batch_size":
+        train_cfg = replace(train_cfg, batch_size=value)
+    elif axis == "learning_rate":
+        train_cfg = replace(train_cfg, head_lr=value)
+    elif axis == "optimizer":
+        train_cfg = replace(train_cfg, optimizer=value)
+    elif axis == "weight_decay":
+        train_cfg = replace(train_cfg, weight_decay=value)
+    elif axis == "epochs":
+        train_cfg = replace(train_cfg, max_epochs=value)
+    elif axis == "dropout":
+        hybrid = kwargs.get("hybrid_cfg") or HybridConfig()
+        kwargs["hybrid_cfg"] = replace(hybrid, dropout=value)
+    elif axis == "model_size":
+        dim, depth, heads = SWEEP_MODEL_SIZES[value]
+        vit = kwargs.get("vit_cfg") or ViTConfig()
+        kwargs["vit_cfg"] = replace(vit, embed_dim=dim, depth=depth, heads=heads)
+    return f"{model_kind} {axis}={value}", fraction, train_cfg, base_aug, kwargs
 
 
 def sum_(x: Tensor) -> Tensor:

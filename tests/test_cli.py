@@ -79,6 +79,7 @@ def _train(data_dir, out, *args, model="conv"):
     "model.vit.image_size=64", "model.conv.image_size=999", "model.hybrid.num_classes=3",
     "model.vit.num_classes=3",
     "model.vit.patch_size=7",  # 32 is not a multiple of 7: rejected when the model is built
+    "model.hybrid.dropout=1.5",  # dropout must be in [0, 1), whichever model trains
     # training settings that crashed or opened every block before any check
     "max_epochs=0", "cosine_t_max=0", "unfreeze_schedule=0:0", "unfreeze_schedule=-1:1"))
 def test_bad_model_setting_is_a_usage_error(data_dir, tmp_path, setting):

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from qgjet.augment import AugmentConfig
@@ -50,6 +52,8 @@ def test_repeated_group_keeps_every_field():
     ("model.hybrid.dropout", "x"),   # not a float
     ("aug.bogus", "1"),
     ("bogus", "1"),
+    (".max_epochs", "3"),            # a bare leading dot names no group
+    ("model.vit.", "3"),             # no field
     ("staged_unfreezing", "maybe"),  # booleans are strict
     ("model.vit.image_size", "64"),  # the input size is aug.out_size
     ("model.hybrid.num_classes", "2"),  # the class count is fixed
@@ -57,7 +61,29 @@ def test_repeated_group_keeps_every_field():
     ("cosine_t_max", "0"),           # the cosine period divides
     ("unfreeze_schedule", "0:0"),    # blocks[-0:] is every block
     ("unfreeze_schedule", "-1:1"),
+    ("model.hybrid.dropout", "1.5"),  # dropout must be in [0, 1)
+    ("model.hybrid.dropout", "-0.1"),
 ])
 def test_bad_settings_rejected(key, value):
     with pytest.raises(ValueError):
         apply_settings({key: value})
+
+
+def test_group_is_checked_once_whatever_the_key_order():
+    """Each config is built from all of its settings: no intermediate check."""
+    want = {"vit_cfg": ViTConfig(embed_dim=48, heads=6)}
+    assert apply_settings({"model.vit.heads": "6", "model.vit.embed_dim": "48"})[2] == want
+    assert apply_settings({"model.vit.embed_dim": "48", "model.vit.heads": "6"})[2] == want
+
+
+@pytest.mark.parametrize("key, value", [
+    ("unfreeze_schedule", "5"),      # not an epoch:blocks pair
+    ("unfreeze_schedule", "1:2,"),   # empty entry
+    ("max_epochs", "x"),             # not an int
+    ("max_epochs", "0"),
+    ("aug.flip_prob", "2"),
+    ("model.hybrid.dropout", "1.5"),
+])
+def test_rejected_value_names_its_key(key, value):
+    with pytest.raises(ValueError, match=re.escape(f"{key}={value}")):
+        apply_settings({"seeds": "1", key: value})

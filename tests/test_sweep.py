@@ -1,9 +1,12 @@
+import numpy as np
 import pytest
 
-from qgjet import sweep
-from qgjet.augment import AugmentConfig
-from qgjet.cli import EXIT_USAGE, main
-from qgjet.train import TrainConfig
+from oracles import sweep_run_configs
+from qgjet import cli, sweep
+from qgjet.cli import EXIT_OK, EXIT_USAGE, main
+from qgjet.config import apply_settings
+from qgjet.datastore import read_stats, write_stats
+from qgjet.preprocess import ChannelStats
 
 
 def test_unknown_axis_is_a_usage_error_before_any_data_is_read(tmp_path, capsys):
@@ -14,19 +17,80 @@ def test_unknown_axis_is_a_usage_error_before_any_data_is_read(tmp_path, capsys)
     assert not (tmp_path / "out").exists()
 
 
-def test_run_sweep_rejects_an_unknown_axis_before_training(monkeypatch):
-    def no_training(*args, **kwargs):
-        raise AssertionError("fit must not run for an unknown axis")
+AXIS_VALUES = {
+    "dataset_size": ["0.5", "1", ".25"],
+    "model_size": ["tiny", "small", "base"],
+    "batch_size": ["8", "016"],
+    "learning_rate": ["1e-3", "0.0005"],
+    "optimizer": ["adamw", "adam", "rmsprop", "lion"],
+    "weight_decay": ["0", "1e-2"],
+    "epochs": ["1", "3"],
+    "dropout": ["0", "0.5", ".25"],
+}
+BASES = ({}, {"aug.out_size": "32", "max_epochs": "2", "model.vit.embed_dim": "32",
+              "model.hybrid.dropout": "0.25", "model.conv.widths": "8,16"})
 
-    monkeypatch.setattr(sweep, "fit", no_training)
-    with pytest.raises(ValueError, match="unknown sweep axis: 'bogus'"):
-        sweep.run_sweep([], [], "vit", TrainConfig(), AugmentConfig(), "bogus", [1.0])
+
+@pytest.mark.parametrize("base", BASES, ids=("defaults", "configured"))
+@pytest.mark.parametrize("axis", sorted(AXIS_VALUES))
+def test_sweep_values_resolve_as_the_reference(axis, base):
+    """Each overlay gives the configs, build kwargs and row label that the
+    earlier per-axis parse-and-replace gave."""
+    train, aug, kwargs = apply_settings(base)
+    want = [sweep_run_configs("hybrid2", train, aug, kwargs, axis, raw)
+            for raw in AXIS_VALUES[axis]]
+    assert sweep.resolve_sweep(base, "hybrid2", axis, AXIS_VALUES[axis]) == want
 
 
-def test_parse_values():
-    assert sweep.parse_values("batch_size", ["8", "16"]) == [8, 16]
-    assert sweep.parse_values("dropout", ["0.25"]) == [0.25]
-    for axis, raw in (("bogus", ["1"]), ("optimizer", ["sgdx"]), ("model_size", ["huge"]),
-                      ("epochs", [])):
-        with pytest.raises(ValueError):
-            sweep.parse_values(axis, raw)
+@pytest.mark.parametrize("model, axis, values, message", [
+    ("vit", "epochs", "1,0", "max_epochs=0"),  # fit would return no epoch
+    ("vit", "optimizer", "adam,sgdx", "optimizer=sgdx"),
+    ("hybrid2", "dropout", "0.1,1.5", "model.hybrid.dropout=1.5"),  # not in [0, 1)
+    ("vit", "dropout", "0.1", "dropout axis"),  # no hybrid head
+    ("conv", "model_size", "tiny", "model_size axis"),  # no transformer
+    ("vit", "model_size", "small,huge", "model size 'huge'"),
+    ("vit", "batch_size", "8,x", "batch_size=x"),
+    ("vit", "dataset_size", "0.5,half", "dataset_size=half"),
+    ("vit", "dataset_size", "0.5,nan", "dataset_size=nan"),  # a fraction in (0, 1]
+    ("vit", "dataset_size", "0", "dataset_size=0"),
+    ("vit", "dataset_size", "1.5", "dataset_size=1.5"),
+    ("vit", "epochs", ",", "at least one value"),
+    ("vit", "bogus", "1", "unknown sweep axis"),
+])
+def test_bad_sweep_value_reads_no_data_and_fits_nothing(monkeypatch, tmp_path, capsys, model,
+                                                        axis, values, message):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("ran before every sweep value was resolved")
+
+    monkeypatch.setattr(cli, "_load_split", must_not_run)
+    monkeypatch.setattr(sweep, "fit", must_not_run)
+    code = main(["sweep", "--axis", axis, "--values", values, "--data", str(tmp_path),
+                 "--model", model, "--out", str(tmp_path / "out"), "--set", "aug.out_size=32"])
+    assert code == EXIT_USAGE
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+class _Stop(Exception):
+    pass
+
+
+def test_sweep_uses_the_data_directory_stats(monkeypatch, tmp_path):
+    """Like train, sweep scores with ``<data>/stats.txt`` when it exists."""
+    for split, seed in (("train", "1"), ("val", "2")):
+        assert main(["synth", "--n", "2", "--seed", seed,
+                     "--out", str(tmp_path / f"{split}.jqg")]) == EXIT_OK
+    write_stats(tmp_path / "stats.txt", ChannelStats(np.array([1.0, 2.0, 3.0]),
+                                                     np.array([4.0, 5.0, 6.0]), 0))
+    seen = []
+
+    def capture(*args, stats, **kwargs):
+        seen.append(stats)
+        raise _Stop
+
+    monkeypatch.setattr(sweep, "fit", capture)
+    with pytest.raises(_Stop):
+        main(["sweep", "--axis", "epochs", "--values", "1", "--data", str(tmp_path),
+              "--model", "conv", "--out", str(tmp_path / "out"), "--set", "aug.out_size=32"])
+    want = read_stats(tmp_path / "stats.txt")
+    assert np.array_equal(seen[0].mu, want.mu) and np.array_equal(seen[0].sigma, want.sigma)
