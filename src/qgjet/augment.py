@@ -54,7 +54,6 @@ class AugmentConfig:
     jitter_hue: float = 0.1
     mixup_alpha: float = 0.2
     imagenet_normalize: bool = False
-    color_jitter: bool = True
 
     def __post_init__(self):
         if not 0.0 < self.crop_scale[0] <= self.crop_scale[1] <= 1.0:
@@ -323,8 +322,7 @@ def train_transform(preprocessed: np.ndarray, config: AugmentConfig,
     img = random_resized_crop(img, config, rng)
     img = random_hflip(img, config.flip_prob, rng)
     img = random_rotate(img, config.max_rotation_deg, rng)
-    if config.color_jitter:
-        img = color_jitter(img, config, rng)
+    img = color_jitter(img, config, rng)
     out = to_float(img)
     if config.imagenet_normalize:
         out = imagenet_normalize(out)

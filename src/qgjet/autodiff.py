@@ -456,6 +456,11 @@ class ParameterRegistry:
         return {name: e.tensor.data.copy() for name, e in self._entries.items()}
 
     def load_state_dict(self, state: dict[str, np.ndarray]):
+        problems = [f"{what}: {', '.join(sorted(names))}" for what, names in (
+            ("missing parameters", self._entries.keys() - state.keys()),
+            ("unexpected parameters", state.keys() - self._entries.keys())) if names]
+        if problems:
+            raise ValueError("; ".join(problems))
         for name, entry in self._entries.items():
             arr = state[name]
             if arr.shape != entry.tensor.shape:

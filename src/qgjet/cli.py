@@ -1,6 +1,6 @@
 """Command-line surface.
 
-Subcommands: synth, stats, preprocess, train, eval, sweep, render.
+Subcommands: synth, stats, train, eval, sweep, render.
 Exit codes: 0 success, 2 usage error, 3 data/format error, 4 numeric
 degeneracy. Setting QGJET_DETERMINISTIC=1 pins every numeric library to a
 single thread before numpy loads, which makes runs bit-reproducible.
@@ -46,18 +46,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--train", required=True)
     p.add_argument("--out", required=True)
 
-    p = sub.add_parser("preprocess", help="apply the deterministic preprocessing chain")
-    p.add_argument("--in", dest="inp", required=True)
-    p.add_argument("--stats", required=True)
-    p.add_argument("--out", required=True)
-
     p = sub.add_parser("train", help="train a classifier over the configured seeds")
     p.add_argument("--data", required=True, help="directory holding train.jqg and val.jqg")
     p.add_argument("--model", choices=MODEL_KINDS, required=True)
     p.add_argument("--config", help="key = value configuration file")
-    p.add_argument("--seeds", type=int,
-                   help="run seeds 1..N in place of the seeds setting "
-                        "(default: the seeds setting, 1,2,3 unless configured)")
     p.add_argument("--out", required=True)
     p.add_argument("--set", dest="overrides", action="append", default=[],
                    metavar="KEY=VALUE", help="override a config entry")
@@ -132,19 +124,6 @@ def _cmd_stats(args) -> int:
     return EXIT_OK
 
 
-def _cmd_preprocess(args) -> int:
-    from .datastore import read_dataset, read_stats, write_dataset
-    from .detector import JetWindow
-    from .preprocess import preprocess_window
-
-    stats = read_stats(args.stats)
-    windows = read_dataset(args.inp)
-    out = [JetWindow(preprocess_window(w, stats), label=w.label) for w in windows]
-    write_dataset(args.out, out)
-    print(f"preprocessed {len(out)} windows into {args.out}")
-    return EXIT_OK
-
-
 def _load_split(data_dir: str):
     """Train and val windows, and ``<data>/stats.txt`` or else the train windows' stats."""
     import os.path as osp
@@ -162,31 +141,40 @@ def _load_split(data_dir: str):
     return train_windows, val_windows, stats
 
 
-def _cmd_train(args) -> int:
+def _record_inputs(args, settings: dict[str, str], stats) -> None:
+    """Create the output directory with the channel stats and the settings
+    resolved over the default configs, so its results can be re-run."""
     import os.path as osp
-    from dataclasses import replace as dc_replace
 
     from .config import apply_settings, format_resolved
-    from .datastore import write_checkpoint, write_metrics_csv, write_stats
-    from .models import build_model
-    from .rng import stream
-    from .train import fit, results_row
+    from .datastore import write_stats
 
-    settings = _read_settings(args)
-    train_cfg, aug_cfg, kwargs = apply_settings(settings)
-    if args.seeds is not None:
-        train_cfg = dc_replace(train_cfg, seeds=tuple(range(1, args.seeds + 1)))
-    # build every seed's model first, so a bad model setting writes nothing
-    models = [build_model(args.model, aug_cfg.out_size, stream(seed, "init"), **kwargs)
-              for seed in train_cfg.seeds]
-
-    train_windows, val_windows, stats = _load_split(args.data)
+    train_cfg, aug_cfg, _ = apply_settings(settings)
     os.makedirs(args.out, exist_ok=True)
     write_stats(osp.join(args.out, "stats.txt"), stats)
     with open(osp.join(args.out, "run_config.txt"), "w") as f:
         f.write(format_resolved(train_cfg, aug_cfg,
                                 {"model": args.model,
                                  **{k: v for k, v in settings.items() if k.startswith("model.")}}))
+
+
+def _cmd_train(args) -> int:
+    import os.path as osp
+
+    from .config import apply_settings
+    from .datastore import write_checkpoint, write_metrics_csv
+    from .models import build_model
+    from .rng import stream
+    from .train import fit, results_row
+
+    settings = _read_settings(args)
+    train_cfg, aug_cfg, kwargs = apply_settings(settings)
+    # build every seed's model first, so a bad model setting writes nothing
+    models = [build_model(args.model, aug_cfg.out_size, stream(seed, "init"), **kwargs)
+              for seed in train_cfg.seeds]
+
+    train_windows, val_windows, stats = _load_split(args.data)
+    _record_inputs(args, settings, stats)
 
     reports, records = [], []
     for seed, model in zip(train_cfg.seeds, models):
@@ -250,7 +238,11 @@ def _cmd_eval(args) -> int:
     windows = read_dataset(args.data)
 
     model = build_model(model_kind, aug_cfg.out_size, stream(0, "init"), **kwargs)
-    model.registry.load_state_dict(read_checkpoint(args.checkpoint))
+    state = read_checkpoint(args.checkpoint)
+    try:
+        model.registry.load_state_dict(state)
+    except ValueError as exc:  # parameter names or shapes of another model
+        raise DataFormatError(f"{args.checkpoint} does not fit {config_path}: {exc}") from exc
     aug_cfg = dc_replace(aug_cfg, imagenet_normalize=model.uses_imagenet_norm)  # as fit does
 
     inputs = np.stack([validation_transform(w, stats, aug_cfg) for w in windows])
@@ -277,7 +269,8 @@ def _cmd_sweep(args) -> int:
     from .rng import stream
     from .sweep import resolve_sweep, run_sweep
 
-    runs = resolve_sweep(_read_settings(args), args.model, args.axis,
+    settings = _read_settings(args)
+    runs = resolve_sweep(settings, args.model, args.axis,
                          [v for v in args.values.split(",") if v])
     # build every run's model first, so a bad value reads no data and trains nothing
     models = [build_model(args.model, aug.out_size, stream(train.seeds[0], "init"), **kwargs)
@@ -285,7 +278,7 @@ def _cmd_sweep(args) -> int:
 
     train_windows, val_windows, stats = _load_split(args.data)
     rows = run_sweep(train_windows, val_windows, args.model, runs, models, stats)
-    os.makedirs(args.out, exist_ok=True)
+    _record_inputs(args, settings, stats)
     out_path = osp.join(args.out, f"sweep_{args.axis}.csv")
     write_metrics_csv(rows, out_path)
     print(f"wrote {out_path}")
@@ -310,7 +303,6 @@ def _cmd_render(args) -> int:
 _COMMANDS = {
     "synth": _cmd_synth,
     "stats": _cmd_stats,
-    "preprocess": _cmd_preprocess,
     "train": _cmd_train,
     "eval": _cmd_eval,
     "sweep": _cmd_sweep,

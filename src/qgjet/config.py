@@ -11,6 +11,9 @@ fully-resolved configuration next to its outputs.
 Only values that a run can vary are settings. The model input size is
 ``aug.out_size``, the class count is 2, and the detector grid and the
 preprocessing constants are module constants, so none of them has a key.
+ImageNet normalisation follows the model kind (``uses_imagenet_norm``), so
+``aug.imagenet_normalize`` is rejected like an unknown key and never
+recorded; colour jitter always runs.
 """
 from __future__ import annotations
 
@@ -24,6 +27,8 @@ from .train import TrainConfig
 GROUPS = {"": (TrainConfig, None), "aug.": (AugmentConfig, None),
           "model.vit.": (ViTConfig, "vit_cfg"), "model.conv.": (ConvConfig, "conv_cfg"),
           "model.hybrid.": (HybridConfig, "hybrid_cfg")}
+# config fields that the model kind decides, so no run may set them
+NOT_SETTINGS = ("aug.imagenet_normalize",)
 
 
 def parse_kv_file(path) -> dict[str, str]:
@@ -72,7 +77,8 @@ def apply_settings(settings: dict[str, str]):
     for key, text in settings.items():
         prefix, dot, name = key.rpartition(".")
         cls, _ = GROUPS.get(prefix + dot, (None, None))
-        if cls is None or name not in {f.name for f in dataclasses.fields(cls)}:
+        if (cls is None or key in NOT_SETTINGS
+                or name not in {f.name for f in dataclasses.fields(cls)}):
             raise ValueError(f"unknown setting: {key}")
         try:  # a field's class attribute is its default
             coerced.setdefault(cls, {})[name] = _coerce(getattr(cls, name), text)
@@ -103,7 +109,8 @@ def format_resolved(train_cfg: TrainConfig, aug_cfg: AugmentConfig,
     for f in dataclasses.fields(TrainConfig):
         lines.append(f"{f.name} = {_format_value(getattr(train_cfg, f.name))}")
     for f in dataclasses.fields(AugmentConfig):
-        lines.append(f"aug.{f.name} = {_format_value(getattr(aug_cfg, f.name))}")
+        if f"aug.{f.name}" not in NOT_SETTINGS:
+            lines.append(f"aug.{f.name} = {_format_value(getattr(aug_cfg, f.name))}")
     for key, value in (extras or {}).items():
         lines.append(f"{key} = {_format_value(value)}")
     return "\n".join(lines) + "\n"

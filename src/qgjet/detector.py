@@ -53,7 +53,6 @@ class DetectorHit:
 @dataclass
 class FullDetectorImage:
     data: np.ndarray  # float32 [3, N_ETA, N_PHI]
-    n_dropped: int = 0
 
     def hcal_native(self) -> np.ndarray:
         """Tower values [56, 72]; valid because the HCAL channel is
@@ -64,8 +63,6 @@ class FullDetectorImage:
 @dataclass
 class JetWindow:
     data: np.ndarray  # float32 [3, 125, 125]
-    center_row: int | None = None
-    center_col: int | None = None
     label: int | None = None  # QUARK=1, GLUON=0
 
 
@@ -87,8 +84,8 @@ def _phi_bin(phi, n_phi: int):
 def bin_hits(hits) -> FullDetectorImage:
     """Sum hits into the fine grid; HCAL goes through the native tower grid.
 
-    Hits with |eta| >= ETA_MAX are dropped (counted in ``n_dropped``), never
-    an error. Cells receiving several hits accumulate their sum.
+    Hits with |eta| >= ETA_MAX are dropped, never an error. Cells receiving
+    several hits accumulate their sum.
     """
     eta = np.array([h.eta for h in hits], dtype=np.float64)
     phi = np.array([h.phi for h in hits], dtype=np.float64)
@@ -96,7 +93,6 @@ def bin_hits(hits) -> FullDetectorImage:
     cha = np.array([int(h.channel) for h in hits], dtype=np.int64)
 
     in_range = np.abs(eta) < ETA_MAX if len(hits) else np.zeros(0, dtype=bool)
-    n_dropped = int(len(hits) - in_range.sum())
     eta, phi, val, cha = eta[in_range], phi[in_range], val[in_range], cha[in_range]
 
     image = np.zeros((3, N_ETA, N_PHI), dtype=np.float64)
@@ -113,7 +109,7 @@ def bin_hits(hits) -> FullDetectorImage:
     np.add.at(native, (rows, cols), val[sel])
     image[Channel.HCAL] = upsample_hcal(native)
 
-    return FullDetectorImage(image.astype(np.float32), n_dropped)
+    return FullDetectorImage(image.astype(np.float32))
 
 
 def upsample_hcal(native: np.ndarray) -> np.ndarray:
@@ -164,4 +160,4 @@ def crop_jet_window(image: FullDetectorImage, center: tuple[int, int]) -> JetWin
     rows = slice(row - WINDOW_HALF, row + WINDOW_HALF + 1)
     cols = np.arange(col - WINDOW_HALF, col + WINDOW_HALF + 1) % N_PHI
     window = image.data[:, rows, :][:, :, cols]
-    return JetWindow(np.ascontiguousarray(window, dtype=np.float32), row, col)
+    return JetWindow(np.ascontiguousarray(window, dtype=np.float32))

@@ -36,7 +36,6 @@ class SynthConfig:
     photon_frac: float = 0.25
     neutral_had_frac: float = 0.15
     jet_eta_range: tuple[float, float] = (-1.2, 1.2)
-    separability: str = EASY
     seed: int = 0
 
     def __post_init__(self):
@@ -51,7 +50,7 @@ class SynthConfig:
 
 def preset(name: str, seed: int = 0) -> SynthConfig:
     """Named separability presets, from clearly separated to nearly overlapping."""
-    base = SynthConfig(separability=name, seed=seed)
+    base = SynthConfig(seed=seed)
     if name == EASY:
         return base
     if name == PAPERLIKE:

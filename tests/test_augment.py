@@ -301,7 +301,7 @@ class TestTransforms:
         from qgjet.preprocess import preprocess_window
         identity = AugmentConfig(crop_scale=(1.0, 1.0), crop_ratio=(1.0, 1.0),
                                  out_size=64, flip_prob=0.0, max_rotation_deg=0.0,
-                                 jitter_bcs=0.0, jitter_hue=0.0, color_jitter=False)
+                                 jitter_bcs=0.0, jitter_hue=0.0)
         pre = preprocess_window(windows[2], stats)
         train_out = train_transform(pre, identity, rng_for("identity"))
         val_out = validation_transform(windows[2], stats, identity)

@@ -23,7 +23,7 @@ def data_dir(tmp_path_factory):
 def trained(request, data_dir, tmp_path_factory):
     out = tmp_path_factory.mktemp(f"run_{request.param}")
     assert main(["train", "--data", str(data_dir), "--model", request.param,
-                 "--seeds", "1", "--out", str(out),
+                 "--set", "seeds=1", "--out", str(out),
                  "--set", "aug.out_size=32", "--set", "max_epochs=2"]) == EXIT_OK
     return out
 
@@ -81,9 +81,11 @@ def _train(data_dir, out, *args, model="conv"):
     "model.vit.patch_size=7",  # 32 is not a multiple of 7: rejected when the model is built
     "model.hybrid.dropout=1.5",  # dropout must be in [0, 1), whichever model trains
     # training settings that crashed or opened every block before any check
-    "max_epochs=0", "cosine_t_max=0", "unfreeze_schedule=0:0", "unfreeze_schedule=-1:1"))
+    "max_epochs=0", "cosine_t_max=0", "unfreeze_schedule=0:0", "unfreeze_schedule=-1:1",
+    # the model kind decides ImageNet normalisation, and colour jitter always runs
+    "aug.imagenet_normalize=true", "aug.color_jitter=false"))
 def test_bad_model_setting_is_a_usage_error(data_dir, tmp_path, setting):
-    assert _train(data_dir, tmp_path / "run", "--seeds", "1", "--set", setting,
+    assert _train(data_dir, tmp_path / "run", "--set", "seeds=1", "--set", setting,
                   model="vit") == EXIT_USAGE
     assert not (tmp_path / "run").exists()
 
@@ -93,22 +95,9 @@ def test_seeds_setting_is_not_overridden_by_the_flag_default(data_dir, tmp_path)
     assert sorted(p.name for p in tmp_path.glob("*.ckpt")) == ["model_seed7.ckpt"]
 
 
-def test_seeds_flag_runs_seeds_one_to_n(data_dir, tmp_path):
-    assert _train(data_dir, tmp_path, "--seeds", "2") == EXIT_OK
-    assert sorted(p.name for p in tmp_path.glob("*.ckpt")) == ["model_seed1.ckpt",
-                                                              "model_seed2.ckpt"]
-
-
 def test_zero_seeds_is_a_usage_error(data_dir, tmp_path):
-    assert _train(data_dir, tmp_path / "run", "--seeds", "0") == EXIT_USAGE
+    assert _train(data_dir, tmp_path / "run", "--set", "seeds=") == EXIT_USAGE
     assert not (tmp_path / "run").exists()
-
-
-def test_seeds_flag_wins_over_a_seeds_setting_of_the_same_length(data_dir, tmp_path):
-    assert _train(data_dir, tmp_path, "--seeds", "2", "--set", "seeds=7,8") == EXIT_OK
-    assert sorted(p.name for p in tmp_path.glob("*.ckpt")) == ["model_seed1.ckpt",
-                                                              "model_seed2.ckpt"]
-    assert "seeds = 1,2\n" in (tmp_path / "run_config.txt").read_text()
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
@@ -125,6 +114,42 @@ def test_eval_without_model_entry_is_a_data_error(trained, data_dir, tmp_path, c
     assert main(["eval", "--checkpoint", str(trained / "model_seed1.ckpt"),
                  "--data", str(data_dir / "val.jqg"), "--config", str(config)]) == EXIT_DATA
     assert str(config) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("case", ("other_model", "other_shape"))
+def test_checkpoint_that_does_not_fit_its_config_is_a_data_error(trained, data_dir, tmp_path,
+                                                                 capsys, case):
+    kind = (trained / "run_config.txt").read_text().split("\nmodel = ")[1].split()[0]
+    config, ckpt = trained / "run_config.txt", trained / "model_seed1.ckpt"
+    if case == "other_model":  # a conv checkpoint under a vit config, and the reverse
+        other = "vit" if kind == "conv" else "conv"
+        config = tmp_path / "run_config.txt"
+        config.write_text((trained / "run_config.txt").read_text()
+                          .replace(f"\nmodel = {kind}\n", f"\nmodel = {other}\n"))
+    else:
+        state = read_checkpoint(ckpt)
+        state["head.w"] = np.zeros((3, *state["head.w"].shape[1:]), state["head.w"].dtype)
+        ckpt = tmp_path / "wide_head.ckpt"
+        write_checkpoint(ckpt, state)
+    capsys.readouterr()
+    assert main(["eval", "--checkpoint", str(ckpt), "--data", str(data_dir / "val.jqg"),
+                 "--config", str(config), "--stats", str(trained / "stats.txt")]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.count("error: ") == 1 and err.count("\n") == 1
+    assert f"{ckpt} does not fit {config}" in err
+    if case == "other_model":
+        assert "missing parameters: " in err and "unexpected parameters: " in err
+    else:
+        assert "shape mismatch for head.w" in err
+
+
+@pytest.mark.parametrize("argv", (
+    ["preprocess", "--in", "a.jqg", "--stats", "stats.txt", "--out", "b.jqg"],
+    ["train", "--data", "d", "--model", "conv", "--out", "o", "--seeds", "2"]))
+def test_removed_command_and_flag_are_usage_errors(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_USAGE
 
 
 def _flat_dataset(path):

@@ -11,7 +11,7 @@ from qgjet.train import TrainConfig
 # float tuple and the (epoch, n) unfreeze schedule
 TRAIN = TrainConfig(head_lr=3e-4, max_epochs=7, optimizer="lion", seeds=(4, 9),
                     staged_unfreezing=True, unfreeze_schedule=((0, 1), (2, 3)))
-AUG = AugmentConfig(crop_scale=(0.5, 0.9), out_size=48, color_jitter=False, max_rotation_deg=12.5)
+AUG = AugmentConfig(crop_scale=(0.5, 0.9), out_size=48, max_rotation_deg=12.5)
 MODEL = {"model.conv.widths": "8,16", "model.vit.depth": "2", "model.hybrid.dropout": "0.3"}
 
 
@@ -63,6 +63,8 @@ def test_repeated_group_keeps_every_field():
     ("unfreeze_schedule", "-1:1"),
     ("model.hybrid.dropout", "1.5"),  # dropout must be in [0, 1)
     ("model.hybrid.dropout", "-0.1"),
+    ("aug.imagenet_normalize", "true"),  # the model kind decides it
+    ("aug.color_jitter", "false"),   # colour jitter always runs
 ])
 def test_bad_settings_rejected(key, value):
     with pytest.raises(ValueError):

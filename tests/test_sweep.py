@@ -4,9 +4,9 @@ import pytest
 from oracles import sweep_run_configs
 from qgjet import cli, sweep
 from qgjet.cli import EXIT_OK, EXIT_USAGE, main
-from qgjet.config import apply_settings
-from qgjet.datastore import read_stats, write_stats
-from qgjet.preprocess import ChannelStats
+from qgjet.config import apply_settings, parse_kv_file
+from qgjet.datastore import read_dataset, read_stats, write_stats
+from qgjet.preprocess import ChannelStats, compute_channel_stats
 
 
 def test_unknown_axis_is_a_usage_error_before_any_data_is_read(tmp_path, capsys):
@@ -94,3 +94,24 @@ def test_sweep_uses_the_data_directory_stats(monkeypatch, tmp_path):
               "--model", "conv", "--out", str(tmp_path / "out"), "--set", "aug.out_size=32"])
     want = read_stats(tmp_path / "stats.txt")
     assert np.array_equal(seen[0].mu, want.mu) and np.array_equal(seen[0].sigma, want.sigma)
+
+
+def test_sweep_records_its_base_settings_and_stats(tmp_path):
+    """Like train, sweep writes run_config.txt and stats.txt beside its CSV;
+    the config holds the base settings, not any one axis value."""
+    for split, seed in (("train", "1"), ("val", "2")):
+        assert main(["synth", "--n", "2", "--seed", seed,
+                     "--out", str(tmp_path / f"{split}.jqg")]) == EXIT_OK
+    base = {"aug.out_size": "32", "max_epochs": "2", "seeds": "4", "model.conv.widths": "8,16"}
+    out = tmp_path / "out"
+    overrides = [arg for key, value in base.items() for arg in ("--set", f"{key}={value}")]
+    assert main(["sweep", "--axis", "epochs", "--values", "1", "--data", str(tmp_path),
+                 "--model", "conv", "--out", str(out), *overrides]) == EXIT_OK
+    assert sorted(p.name for p in out.iterdir()) == ["run_config.txt", "stats.txt",
+                                                     "sweep_epochs.csv"]
+    recorded = parse_kv_file(out / "run_config.txt")
+    assert recorded.pop("model") == "conv"
+    assert apply_settings(recorded) == apply_settings(base)
+    want = compute_channel_stats(read_dataset(tmp_path / "train.jqg"))
+    got = read_stats(out / "stats.txt")
+    assert np.array_equal(got.mu, want.mu) and np.array_equal(got.sigma, want.sigma)

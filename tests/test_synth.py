@@ -130,8 +130,6 @@ class TestGenerateDataset:
         windows = generate_dataset(config, 40)
         assert sorted(w.label for w in windows) == [GLUON] * 40 + [QUARK] * 40
         assert all(w.data.shape == (3, 125, 125) for w in windows)
-        rows = [w.center_row for w in windows]
-        assert min(rows) >= 62 and max(rows) <= 280 - 63
 
     def test_gluon_windows_have_more_track_pixels(self):
         windows = generate_dataset(preset("easy", seed=7), 500)
