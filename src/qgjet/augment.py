@@ -56,8 +56,12 @@ class AugmentConfig:
     imagenet_normalize: bool = False
 
     def __post_init__(self):
-        if not 0.0 < self.crop_scale[0] <= self.crop_scale[1] <= 1.0:
+        if len(self.crop_scale) != 2 or not 0.0 < self.crop_scale[0] <= self.crop_scale[1] <= 1.0:
             raise ValueError(f"bad crop scale range {self.crop_scale}")
+        if len(self.crop_ratio) != 2 or not 0.0 < self.crop_ratio[0] <= self.crop_ratio[1]:
+            raise ValueError(f"bad crop ratio range {self.crop_ratio}")
+        if self.out_size < 1:
+            raise ValueError(f"output size must be at least 1: {self.out_size}")
         if not 0.0 <= self.flip_prob <= 1.0:
             raise ValueError(f"flip probability out of range: {self.flip_prob}")
         if self.mixup_alpha <= 0.0:

@@ -60,7 +60,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="resolved config (defaults to run_config.txt beside the checkpoint)")
     p.add_argument("--stats", help="statistics file (defaults to stats.txt beside the checkpoint)")
 
-    p = sub.add_parser("sweep", help="single-factor sensitivity sweep")
+    p = sub.add_parser("sweep", help="single-factor sensitivity sweep; each value trains "
+                                     "over every seed in the seeds setting")
     p.add_argument("--axis", required=True)
     p.add_argument("--values", required=True,
                    help="comma-separated axis values, each resolved as settings: batch_size, "
@@ -158,38 +159,59 @@ def _record_inputs(args, settings: dict[str, str], stats) -> None:
                                  **{k: v for k, v in settings.items() if k.startswith("model.")}}))
 
 
-def _cmd_train(args) -> int:
+def _fit_runs(args, settings: dict[str, str], runs: list[tuple], csv_name: str,
+              on_seed=None) -> None:
+    """The seed loop of ``train`` and ``sweep``: one ``csv_name`` row per run.
+
+    ``runs`` holds (row label, training-window fraction, train config, augment
+    config, ``build_model`` keyword arguments) tuples. Every run's model for
+    every seed is built first, so a bad setting reads no data and writes
+    nothing. Each run then fits once per seed in its ``seeds`` setting, and
+    ``on_seed(seed, record, state, report)`` sees each fit as it finishes.
+    """
     import os.path as osp
 
-    from .config import apply_settings
-    from .datastore import write_checkpoint, write_metrics_csv
+    from .datastore import write_metrics_csv
     from .models import build_model
     from .rng import stream
     from .train import fit, results_row
 
-    settings = _read_settings(args)
-    train_cfg, aug_cfg, kwargs = apply_settings(settings)
-    # build every seed's model first, so a bad model setting writes nothing
-    models = [build_model(args.model, aug_cfg.out_size, stream(seed, "init"), **kwargs)
-              for seed in train_cfg.seeds]
+    models = [[build_model(args.model, aug.out_size, stream(seed, "init"), **kwargs)
+               for seed in train.seeds] for _, _, train, aug, kwargs in runs]
 
     train_windows, val_windows, stats = _load_split(args.data)
     _record_inputs(args, settings, stats)
 
-    reports, records = [], []
-    for seed, model in zip(train_cfg.seeds, models):
-        record, state, report = fit(train_windows, val_windows, args.model,
-                                    train_cfg, aug_cfg, seed, stats=stats, model=model)
+    rows = []
+    for (label, fraction, train_cfg, aug_cfg, _), seed_models in zip(runs, models):
+        subset = train_windows[:max(1, int(round(fraction * len(train_windows))))]
+        fits = []
+        for seed, model in zip(train_cfg.seeds, seed_models):
+            fits.append(fit(subset, val_windows, args.model, train_cfg, aug_cfg, seed,
+                            stats=stats, model=model))
+            if on_seed:
+                on_seed(seed, *fits[-1])
+        records, _, reports = map(list, zip(*fits))
+        rows.append(results_row(label, seed_models[-1], records, reports, aug_cfg.out_size))
+    out_path = osp.join(args.out, csv_name)
+    write_metrics_csv(rows, out_path)
+    print(f"wrote {out_path}")
+
+
+def _cmd_train(args) -> int:
+    import os.path as osp
+
+    from .config import apply_settings
+    from .datastore import write_checkpoint
+
+    def save(seed, record, state, report):
         write_checkpoint(osp.join(args.out, f"model_seed{seed}.ckpt"), state)
         _write_run_csv(osp.join(args.out, f"run_seed{seed}.csv"), record)
-        reports.append(report)
-        records.append(record)
         print(f"seed {seed}: best epoch {record.best_epoch} "
               f"val_loss {record.best_val_loss:.4f} auc {report.roc_auc:.4f}")
 
-    rows = [results_row(args.model, models[-1], records, reports, aug_cfg.out_size)]
-    write_metrics_csv(rows, osp.join(args.out, "metrics.csv"))
-    print(f"wrote {osp.join(args.out, 'metrics.csv')}")
+    settings = _read_settings(args)
+    _fit_runs(args, settings, [(args.model, 1.0, *apply_settings(settings))], "metrics.csv", save)
     return EXIT_OK
 
 
@@ -221,10 +243,9 @@ def _cmd_eval(args) -> int:
     from .config import apply_settings, parse_kv_file
     from .augment import validation_transform
     from .datastore import DataFormatError, read_checkpoint, read_dataset, read_stats
-    from .metrics import compute_metrics
     from .models import build_model
     from .rng import stream
-    from .train import _forward_batches, _softmax_scores
+    from .train import evaluate
 
     config_path = args.config or osp.join(osp.dirname(args.checkpoint) or ".", "run_config.txt")
     settings = parse_kv_file(config_path)
@@ -247,8 +268,7 @@ def _cmd_eval(args) -> int:
 
     inputs = np.stack([validation_transform(w, stats, aug_cfg) for w in windows])
     labels = np.array([w.label for w in windows], dtype=np.int64)
-    scores = _softmax_scores(_forward_batches(model, inputs, train_cfg.batch_size))
-    report = compute_metrics(scores, labels)
+    _, report = evaluate(model, inputs, labels, train_cfg.batch_size)
     print(f"accuracy  {report.accuracy:.4f}")
     print(f"precision {report.precision:.4f}")
     print(f"recall    {report.recall:.4f}")
@@ -262,26 +282,12 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    import os.path as osp
-
-    from .datastore import write_metrics_csv
-    from .models import build_model
-    from .rng import stream
-    from .sweep import resolve_sweep, run_sweep
+    from .sweep import resolve_sweep
 
     settings = _read_settings(args)
     runs = resolve_sweep(settings, args.model, args.axis,
                          [v for v in args.values.split(",") if v])
-    # build every run's model first, so a bad value reads no data and trains nothing
-    models = [build_model(args.model, aug.out_size, stream(train.seeds[0], "init"), **kwargs)
-              for _, _, train, aug, kwargs in runs]
-
-    train_windows, val_windows, stats = _load_split(args.data)
-    rows = run_sweep(train_windows, val_windows, args.model, runs, models, stats)
-    _record_inputs(args, settings, stats)
-    out_path = osp.join(args.out, f"sweep_{args.axis}.csv")
-    write_metrics_csv(rows, out_path)
-    print(f"wrote {out_path}")
+    _fit_runs(args, settings, runs, f"sweep_{args.axis}.csv")
     return EXIT_OK
 
 

@@ -107,6 +107,3 @@ class Optimizer:
             grad = tensor.grad if tensor.grad is not None else np.zeros_like(tensor.data)
             state = self._state.setdefault(name, {})
             optimizer_step(self.kind, tensor.data, grad, lr, self.weight_decay, state)
-
-    def zero_grad(self):
-        self.registry.zero_grad()

@@ -1,5 +1,7 @@
-"""Single-factor sensitivity sweeps: one training run per axis value with a
-fixed seed and every other setting held at the base configuration.
+"""Single-factor sensitivity sweeps: one run per axis value, with every
+other setting held at the base configuration. Each run trains once for
+every seed in the ``seeds`` setting, as ``train`` does, and its row reports
+the mean and spread over those seeds.
 
 Each axis value is a settings overlay that ``config.apply_settings`` resolves
 over the base settings. ``batch_size``, ``optimizer`` and ``weight_decay`` set
@@ -11,8 +13,7 @@ fraction of the training windows the run keeps.
 """
 from __future__ import annotations
 
-from .config import _coerce, apply_settings
-from .train import fit, results_row
+from .config import apply_settings
 
 AXIS_KEYS = {"batch_size": "batch_size", "optimizer": "optimizer",
              "weight_decay": "weight_decay", "learning_rate": "head_lr",
@@ -47,7 +48,7 @@ def resolve_sweep(settings: dict[str, str], model_kind: str, axis: str,
                        for name, n in zip(("embed_dim", "depth", "heads"), MODEL_SIZES[raw])}
         train_cfg, aug_cfg, kwargs = apply_settings({**settings, **overlay})
         try:
-            fraction = _coerce(1.0, raw) if axis == "dataset_size" else 1.0
+            fraction = float(raw) if axis == "dataset_size" else 1.0
             if not 0.0 < fraction <= 1.0:
                 raise ValueError("not a fraction in (0, 1]")
         except ValueError as exc:
@@ -59,15 +60,3 @@ def resolve_sweep(settings: dict[str, str], model_kind: str, axis: str,
             value = getattr(train_cfg, AXIS_KEYS[axis])
         runs.append((f"{model_kind} {axis}={value}", fraction, train_cfg, aug_cfg, kwargs))
     return runs
-
-
-def run_sweep(train_windows, val_windows, model_kind: str, runs: list[tuple], models: list,
-              stats) -> list[dict]:
-    """Fit each resolved run's model in turn; each returns a metrics CSV row dict."""
-    rows = []
-    for (label, fraction, train_cfg, aug_cfg, _), model in zip(runs, models):
-        subset = train_windows[:max(1, int(round(fraction * len(train_windows))))]
-        record, _, report = fit(subset, val_windows, model_kind, train_cfg, aug_cfg,
-                                train_cfg.seeds[0], stats=stats, model=model)
-        rows.append(results_row(label, model, [record], [report], aug_cfg.out_size))
-    return rows

@@ -51,10 +51,10 @@ class TrainConfig:
             raise ValueError("patience, batch size, max epochs and cosine t_max must be at least 1")
         if any(epoch < 0 or n_last < 1 for epoch, n_last in self.unfreeze_schedule):
             raise ValueError("unfreeze schedule entries need epoch >= 0 and at least 1 block")
-        if not self.seeds:
-            raise ValueError("at least one seed is required")
-        if self.head_lr <= 0 or self.unfrozen_lr <= 0:
-            raise ValueError("learning rates must be positive")
+        if not self.seeds or len(set(self.seeds)) != len(self.seeds):
+            raise ValueError(f"need at least one seed, each distinct: {self.seeds}")
+        if self.head_lr <= 0 or self.unfrozen_lr <= 0 or self.weight_decay < 0:
+            raise ValueError("learning rates must be positive and weight decay non-negative")
         if self.optimizer not in OPTIMIZER_KINDS:
             raise ValueError(f"unknown optimizer: {self.optimizer!r}")
 
@@ -114,18 +114,14 @@ def _one_hot(labels: np.ndarray) -> np.ndarray:
     return out
 
 
-def _forward_batches(model, inputs: np.ndarray, batch_size: int) -> np.ndarray:
-    logits = []
-    for start in range(0, inputs.shape[0], batch_size):
-        x = ad.Tensor(inputs[start:start + batch_size])
-        logits.append(model.forward(x, ad.EVAL).data)
-    return np.concatenate(logits, axis=0)
-
-
-def _softmax_scores(logits: np.ndarray) -> np.ndarray:
+def evaluate(model, inputs: np.ndarray, labels: np.ndarray, batch_size: int):
+    """Eval-mode forwards over ``inputs`` in batches; returns the logits and
+    the metrics of their class-1 softmax scores against ``labels``."""
+    logits = np.concatenate([model.forward(ad.Tensor(inputs[i:i + batch_size]), ad.EVAL).data
+                             for i in range(0, len(inputs), batch_size)])
     shifted = logits - logits.max(axis=1, keepdims=True)
     e = np.exp(shifted)
-    return (e / e.sum(axis=1, keepdims=True))[:, 1]
+    return logits, compute_metrics((e / e.sum(axis=1, keepdims=True))[:, 1], labels)
 
 
 def results_row(label: str, model, records: list[RunRecord],
@@ -205,18 +201,17 @@ def fit(train_windows: list[JetWindow], val_windows: list[JetWindow], model_kind
             if not math.isfinite(step_loss):
                 raise NonFiniteLoss(f"training loss is {step_loss} at epoch {epoch}, "
                                     f"step {record.optimizer_steps + 1}")
-            optimizer.zero_grad()
+            registry.zero_grad()
             ad.backward(tape, loss)
             optimizer.step()
             record.optimizer_steps += 1
             loss_sum += step_loss * len(idx)
         train_loss = loss_sum / n
 
-        val_logits = _forward_batches(model, val_inputs, config.batch_size)
+        val_logits, report = evaluate(model, val_inputs, val_labels, config.batch_size)
         val_loss = float(ad.cross_entropy_soft(ad.Tensor(val_logits), ad.Tensor(val_onehot)).data)
         if not math.isfinite(val_loss):
             raise NonFiniteLoss(f"validation loss is {val_loss} at epoch {epoch}")
-        report = compute_metrics(_softmax_scores(val_logits), val_labels)
         val_losses.append(val_loss)
 
         record.epochs.append(EpochStats(

@@ -83,7 +83,11 @@ def _train(data_dir, out, *args, model="conv"):
     # training settings that crashed or opened every block before any check
     "max_epochs=0", "cosine_t_max=0", "unfreeze_schedule=0:0", "unfreeze_schedule=-1:1",
     # the model kind decides ImageNet normalisation, and colour jitter always runs
-    "aug.imagenet_normalize=true", "aug.color_jitter=false"))
+    "aug.imagenet_normalize=true", "aug.color_jitter=false",
+    # augmentation ranges and sizes that crashed, or failed only after the
+    # output directory was written; a negative decay and a repeated seed ran
+    "aug.crop_scale=0.8", "aug.crop_scale=0.5,0.7,0.9", "aug.crop_ratio=0.5",
+    "aug.crop_ratio=0,1", "aug.out_size=0", "weight_decay=-1", "seeds=1,1"))
 def test_bad_model_setting_is_a_usage_error(data_dir, tmp_path, setting):
     assert _train(data_dir, tmp_path / "run", "--set", "seeds=1", "--set", setting,
                   model="vit") == EXIT_USAGE

@@ -65,9 +65,17 @@ def test_repeated_group_keeps_every_field():
     ("model.hybrid.dropout", "-0.1"),
     ("aug.imagenet_normalize", "true"),  # the model kind decides it
     ("aug.color_jitter", "false"),   # colour jitter always runs
+    ("aug.crop_scale", "0.8"),       # a range needs both ends
+    ("aug.crop_scale", "0.5,0.7,0.9"),
+    ("aug.crop_ratio", "0.5"),
+    ("aug.crop_ratio", "0,1"),       # the log-uniform ratio needs a positive low end
+    ("aug.crop_ratio", "1.33,0.75"),  # reversed
+    ("aug.out_size", "0"),           # the resize divides by it
+    ("weight_decay", "-1"),
+    ("seeds", "1,1"),                # a repeated seed would overwrite its checkpoint
 ])
 def test_bad_settings_rejected(key, value):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape(key)):
         apply_settings({key: value})
 
 

@@ -210,7 +210,8 @@ def test_cli_pipeline_golden(cli_data, tmp_path, kind):
 
 
 def test_cli_sweep_golden(cli_data, tmp_path):
+    # recorded when a sweep fitted only its first seed; seeds=1 is that run
     _qgjet("sweep", "--axis", "dropout", "--values", "0.0,0.5", "--data", cli_data,
            "--model", "hybrid2", "--config", cli_data / "run.cfg", "--out", tmp_path,
-           "--set", "max_epochs=1", *_set_args())
+           "--set", "max_epochs=1", "--set", "seeds=1", *_set_args())
     assert _csv_digest(tmp_path / "sweep_dropout.csv") == SWEEP_DIGEST

@@ -63,3 +63,16 @@ def test_every_class_member_is_read():
               for name in _defined(node)
               if not (name.startswith("__") and name.endswith("__")) and not reads[name]]
     assert unread == []
+
+
+def test_no_module_imports_another_modules_private_name():
+    """An underscore name is its module's own; a name that another module
+    needs is public."""
+    private = [f"{path.name}: from {'.' * node.level}{node.module or ''} import {alias.name}"
+               for path in LIBRARY
+               for node in ast.walk(ast.parse(path.read_text(), str(path)))
+               if isinstance(node, ast.ImportFrom)
+               and (node.level or (node.module or "").startswith("qgjet"))
+               for alias in node.names
+               if alias.name.startswith("_")]
+    assert private == []

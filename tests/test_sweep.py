@@ -1,8 +1,10 @@
+import csv
+
 import numpy as np
 import pytest
 
 from oracles import sweep_run_configs
-from qgjet import cli, sweep
+from qgjet import cli, sweep, train
 from qgjet.cli import EXIT_OK, EXIT_USAGE, main
 from qgjet.config import apply_settings, parse_kv_file
 from qgjet.datastore import read_dataset, read_stats, write_stats
@@ -63,7 +65,7 @@ def test_bad_sweep_value_reads_no_data_and_fits_nothing(monkeypatch, tmp_path, c
         raise AssertionError("ran before every sweep value was resolved")
 
     monkeypatch.setattr(cli, "_load_split", must_not_run)
-    monkeypatch.setattr(sweep, "fit", must_not_run)
+    monkeypatch.setattr(train, "fit", must_not_run)
     code = main(["sweep", "--axis", axis, "--values", values, "--data", str(tmp_path),
                  "--model", model, "--out", str(tmp_path / "out"), "--set", "aug.out_size=32"])
     assert code == EXIT_USAGE
@@ -88,7 +90,7 @@ def test_sweep_uses_the_data_directory_stats(monkeypatch, tmp_path):
         seen.append(stats)
         raise _Stop
 
-    monkeypatch.setattr(sweep, "fit", capture)
+    monkeypatch.setattr(train, "fit", capture)
     with pytest.raises(_Stop):
         main(["sweep", "--axis", "epochs", "--values", "1", "--data", str(tmp_path),
               "--model", "conv", "--out", str(tmp_path / "out"), "--set", "aug.out_size=32"])
@@ -115,3 +117,35 @@ def test_sweep_records_its_base_settings_and_stats(tmp_path):
     want = compute_channel_stats(read_dataset(tmp_path / "train.jqg"))
     got = read_stats(out / "stats.txt")
     assert np.array_equal(got.mu, want.mu) and np.array_equal(got.sigma, want.sigma)
+
+
+def _metric_rows(path) -> list[list[str]]:
+    """A metrics CSV's data rows without the label and the timing cells."""
+    with open(path, newline="") as f:
+        header, *rows = list(csv.reader(f))
+    kept = [i for i, name in enumerate(header)
+            if name not in ("Model", "TrainTime", "InferenceMs")]
+    return [[row[i] for i in kept] for row in rows]
+
+
+def test_each_sweep_value_averages_every_seed_as_train_does(tmp_path):
+    """A sweep row is the run that ``train`` makes with that value set: the
+    same fits for every seed in ``seeds``, so the same means and spreads."""
+    for split, seed in (("train", "1"), ("val", "2")):
+        assert main(["synth", "--n", "4", "--seed", seed,
+                     "--out", str(tmp_path / f"{split}.jqg")]) == EXIT_OK
+    base = [arg for item in ("aug.out_size=32", "seeds=1,2", "model.conv.widths=8,16")
+            for arg in ("--set", item)]
+    values = ("1", "2")
+    assert main(["sweep", "--axis", "epochs", "--values", ",".join(values),
+                 "--data", str(tmp_path), "--model", "conv", "--out", str(tmp_path / "sweep"),
+                 *base]) == EXIT_OK
+    swept = _metric_rows(tmp_path / "sweep" / "sweep_epochs.csv")
+    trained = []
+    for value in values:
+        out = tmp_path / f"train_{value}"
+        assert main(["train", "--data", str(tmp_path), "--model", "conv", "--out", str(out),
+                     *base, "--set", f"max_epochs={value}"]) == EXIT_OK
+        trained += _metric_rows(out / "metrics.csv")
+    assert swept == trained
+    assert any(not cell.endswith("±0.0000") for row in swept for cell in row)
