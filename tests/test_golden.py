@@ -101,20 +101,30 @@ def test_validation_transform_golden(preset_windows, normalize):
 # those three lines removed. They were re-recorded once more when the
 # ``aug.color_jitter`` and ``aug.imagenet_normalize`` lines left the file, in
 # the same way: each is the earlier file's digest with exactly those two lines
-# removed.
+# removed. The "scratch" set runs the same pipeline and sweep with the two
+# staged lines left out of the configuration, so every parameter trains from
+# the first step.
 
-CLI_CONFIG = """\
+CLI_CONFIGS = {
+    "staged": """\
 # staged unfreezing over two short epochs
 max_epochs = 2
 staged_unfreezing = true
 unfreeze_schedule = 0:1,1:2
 aug.out_size = 32
 model.vit.embed_dim = 32  # int field
-"""
+""",
+    "scratch": """\
+# two short epochs, every parameter trained from the first step
+max_epochs = 2
+aug.out_size = 32
+model.vit.embed_dim = 32  # int field
+""",
+}
 CLI_OVERRIDES = ("model.conv.widths=8,16", "model.hybrid.dropout=0.25")
 TIMING_CELLS = ("seconds", "TrainTime", "InferenceMs")
 
-CLI_DIGESTS = {
+CLI_DIGESTS = {"staged": {
     "conv": {
         "eval_seed1": "cdad72aa04325385dc530d1a336cf4193701a8163e093c7f3002fc57cafe8b0e",
         "eval_seed2": "3bd5aa956b9dcdd986124a89db2788260976c18929fdaabd146a229a634cdda2",
@@ -145,8 +155,40 @@ CLI_DIGESTS = {
         "run_seed1.csv": "4f3237bf7006a48263358a83bdd451d450935454c75d1e0452dcf6800b2a7979",
         "run_seed2.csv": "d30e9d7c62699ecbe0856eee235bd753b3e68115fb2f14c63e949a70dccdfd2b",
     },
-}
-SWEEP_DIGEST = "fa969754013489f34fa306c2f55f946c2f049f00b67a9a2cd5ba9d756301c305"
+}, "scratch": {
+    "conv": {
+        "eval_seed1": "442d1d724d28b1582f8cf532a63619db7d78099fc87826567bc8072d567b4d0f",
+        "eval_seed2": "2e427aac2cf0bce9dc1ea3d79ee6b80c3aea7ba97912000fc10427a2cba3a57e",
+        "metrics.csv": "ef049be313740442b58977137484b2db9a3a141a64d50b28e6f7767f4a695f25",
+        "model_seed1.ckpt": "2b4e0b949c8394c43fe9e4dfb2d0bf5031416e390d96df6a639ff0def7de0aee",
+        "model_seed2.ckpt": "10e8779ccf7b72d083cc56371911d6842cdbd4c8fff967d30174951ab720ea03",
+        "run_config.txt": "edf6436dd198d4b93268fda417c31d4c716e1b02fb8615cdebf6745b8c0cb540",
+        "run_seed1.csv": "7523678968c7b98b20968a866317a9877b33a09327ad551984d6837a80c72a08",
+        "run_seed2.csv": "d8b6357ecc408199828ffafc3588fe7fe7ade39ab7e0873a542803f17e64a57e",
+    },
+    "vit": {
+        "eval_seed1": "54ba5b6c72911350273d9945de0bce98c7167f149c1b049d7ff2f3b55bbaf765",
+        "eval_seed2": "023f45662f887e6f13221a6f048de94cd8766e9e450beb27ab7fd091746dab6a",
+        "metrics.csv": "f804810eb5393b3a167ac3c33130ce3f2019ebc1b5b28d7bd993aff76399178f",
+        "model_seed1.ckpt": "fbc23142423e559985e662337e65867f8b29e87768cec98dfd014231904450db",
+        "model_seed2.ckpt": "4f83798680182c04a78a41facedfedcbac50fa013e0ea6152a0bb24156672132",
+        "run_config.txt": "079856e4cb7a5ec343047cfdecab081e57c6011f4dfb8e6979b1ea645b552fce",
+        "run_seed1.csv": "cc036bc45d2f10cb11eafa7214f406c1d78cdd26f1888a616648d38f3feda118",
+        "run_seed2.csv": "0df55eaa0d4c3eef9be633e836964c3b5865e882ccdd41fa96b25f0d2cc3103f",
+    },
+    "hybrid2": {
+        "eval_seed1": "d082bd74beb23df8933338c98af81f985aae8a42c3169c3199310edbd8f7d7c0",
+        "eval_seed2": "2b0c97b04aae68565ce4255de4e986aaaceaaf669b35bb2ddd0c3ab87bc34f58",
+        "metrics.csv": "c4a878e0469479c59b434c6373de9c7ecb35ce2b53debbfca89529f9d811546f",
+        "model_seed1.ckpt": "b8ee29bf823d0bb1d547116c12e238a7a90ae9e39cdf317b97a0de8a9f0290d5",
+        "model_seed2.ckpt": "317878131853f7c0f41b3792fa52284ce203b247d6c3e24738c54b3ab81b08e9",
+        "run_config.txt": "e324a186770e2eb4eccac9cf1621904fb25d18acc9c5b67bc13da89ce0ea14a3",
+        "run_seed1.csv": "8b544ad8853ffe2f8db9433bb8a9ecf6e99055d229a571578808d4df71a2a2e8",
+        "run_seed2.csv": "96ef10627b3f6b4a9665fcd67a120c32e74b59561d888ec718e91452a461752c",
+    },
+}}
+SWEEP_DIGESTS = {"staged": "fa969754013489f34fa306c2f55f946c2f049f00b67a9a2cd5ba9d756301c305",
+                 "scratch": "eade6a7ba88b8c579994512f21fe6be013cd9abfc3e4a95ce7a9f16417eedf5c"}
 
 
 def _qgjet(*args) -> str:
@@ -182,7 +224,8 @@ def cli_data(tmp_path_factory):
     d = tmp_path_factory.mktemp("golden_data")
     _qgjet("synth", "--preset", "easy", "--n", 8, "--seed", 1, "--out", d / "train.jqg")
     _qgjet("synth", "--preset", "easy", "--n", 8, "--seed", 2, "--out", d / "val.jqg")
-    (d / "run.cfg").write_text(CLI_CONFIG)
+    for name, text in CLI_CONFIGS.items():
+        (d / f"{name}.cfg").write_text(text)
     return d
 
 
@@ -190,10 +233,11 @@ def _set_args():
     return [arg for item in CLI_OVERRIDES for arg in ("--set", item)]
 
 
-@pytest.mark.parametrize("kind", sorted(CLI_DIGESTS))
-def test_cli_pipeline_golden(cli_data, tmp_path, kind):
+@pytest.mark.parametrize("kind", ("conv", "hybrid2", "vit"))
+@pytest.mark.parametrize("protocol", sorted(CLI_CONFIGS))
+def test_cli_pipeline_golden(cli_data, tmp_path, protocol, kind):
     out = tmp_path / kind
-    _qgjet("train", "--data", cli_data, "--model", kind, "--config", cli_data / "run.cfg",
+    _qgjet("train", "--data", cli_data, "--model", kind, "--config", cli_data / f"{protocol}.cfg",
            "--set", "seeds=1,2", "--out", out, *_set_args())
     got = {"run_config.txt": _file_digest(out / "run_config.txt"),
            "metrics.csv": _csv_digest(out / "metrics.csv")}
@@ -206,12 +250,13 @@ def test_cli_pipeline_golden(cli_data, tmp_path, kind):
     assert sorted(p.name for p in out.iterdir()) == sorted(
         ["stats.txt", "run_config.txt", "metrics.csv", "model_seed1.ckpt", "model_seed2.ckpt",
          "run_seed1.csv", "run_seed2.csv"])
-    assert got == CLI_DIGESTS[kind]
+    assert got == CLI_DIGESTS[protocol][kind]
 
 
-def test_cli_sweep_golden(cli_data, tmp_path):
+@pytest.mark.parametrize("protocol", sorted(CLI_CONFIGS))
+def test_cli_sweep_golden(cli_data, tmp_path, protocol):
     # recorded when a sweep fitted only its first seed; seeds=1 is that run
     _qgjet("sweep", "--axis", "dropout", "--values", "0.0,0.5", "--data", cli_data,
-           "--model", "hybrid2", "--config", cli_data / "run.cfg", "--out", tmp_path,
+           "--model", "hybrid2", "--config", cli_data / f"{protocol}.cfg", "--out", tmp_path,
            "--set", "max_epochs=1", "--set", "seeds=1", *_set_args())
-    assert _csv_digest(tmp_path / "sweep_dropout.csv") == SWEEP_DIGEST
+    assert _csv_digest(tmp_path / "sweep_dropout.csv") == SWEEP_DIGESTS[protocol]
