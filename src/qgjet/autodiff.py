@@ -397,73 +397,47 @@ def conv2d(x: Tensor, kernels: Tensor, stride: int = 1, padding: int = 0) -> Ten
 # ---------------------------------------------------------------------------
 # parameters
 
-HEAD_GROUP = "head"  # learning-rate group of every parameter until it is unfrozen
-
-
-class ParamEntry:
-    __slots__ = ("tensor", "group")
-
-    def __init__(self, tensor: Tensor, group: str):
-        self.tensor = tensor
-        self.group = group
-
-
 class ParameterRegistry:
-    """Named parameter tensors grouped by module path.
+    """Named parameter tensors, keyed by module path (``blocks.0.attn.wq``).
 
-    A parameter trains exactly when its tensor's ``requires_grad`` is True.
-    Frozen means ``requires_grad`` is False: the parameter puts no node on
-    the tape, gets no gradient and receives no optimizer update. Each entry
-    carries a learning-rate group name resolved by the optimizer.
+    Every registered tensor has ``requires_grad`` on and trains at the one
+    learning rate of the optimizer that steps it.
     """
 
     def __init__(self):
-        self._entries: dict[str, ParamEntry] = {}
+        self._tensors: dict[str, Tensor] = {}
 
     def add(self, name: str, tensor: Tensor) -> Tensor:
-        if name in self._entries:
+        if name in self._tensors:
             raise ValueError(f"duplicate parameter name: {name}")
         tensor.requires_grad = True
-        self._entries[name] = ParamEntry(tensor, HEAD_GROUP)
+        self._tensors[name] = tensor
         return tensor
 
-    def __getitem__(self, name: str) -> ParamEntry:
-        return self._entries[name]
+    def __getitem__(self, name: str) -> Tensor:
+        return self._tensors[name]
 
     def items(self):
-        return self._entries.items()
-
-    def set_trainable(self, prefix: str, trainable: bool, group: str | None = None) -> None:
-        """Freeze or unfreeze every parameter under ``prefix``, optionally
-        moving it to learning-rate ``group``."""
-        for name, entry in self._entries.items():
-            if name == prefix or name.startswith(prefix + "."):
-                entry.tensor.requires_grad = trainable
-                if group is not None:
-                    entry.group = group
-
-    def n_trainable(self) -> int:
-        return sum(e.tensor.size for e in self._entries.values() if e.tensor.requires_grad)
+        return self._tensors.items()
 
     def n_total(self) -> int:
-        return sum(e.tensor.size for e in self._entries.values())
+        return sum(t.size for t in self._tensors.values())
 
     def zero_grad(self):
-        for entry in self._entries.values():
-            entry.tensor.grad = None
+        for t in self._tensors.values():
+            t.grad = None
 
     def state_dict(self) -> dict[str, np.ndarray]:
-        return {name: e.tensor.data.copy() for name, e in self._entries.items()}
+        return {name: t.data.copy() for name, t in self._tensors.items()}
 
     def load_state_dict(self, state: dict[str, np.ndarray]):
         problems = [f"{what}: {', '.join(sorted(names))}" for what, names in (
-            ("missing parameters", self._entries.keys() - state.keys()),
-            ("unexpected parameters", state.keys() - self._entries.keys())) if names]
+            ("missing parameters", self._tensors.keys() - state.keys()),
+            ("unexpected parameters", state.keys() - self._tensors.keys())) if names]
         if problems:
             raise ValueError("; ".join(problems))
-        for name, entry in self._entries.items():
+        for name, t in self._tensors.items():
             arr = state[name]
-            if arr.shape != entry.tensor.shape:
-                raise ValueError(f"shape mismatch for {name}: {arr.shape} vs {entry.tensor.shape}")
-            entry.tensor.data = arr.astype(entry.tensor.dtype).copy()
-
+            if arr.shape != t.shape:
+                raise ValueError(f"shape mismatch for {name}: {arr.shape} vs {t.shape}")
+            t.data = arr.astype(t.dtype).copy()

@@ -176,8 +176,15 @@ def _fit_runs(args, settings: dict[str, str], runs: list[tuple], csv_name: str,
     from .rng import stream
     from .train import fit, results_row
 
-    models = [[build_model(args.model, aug.out_size, stream(seed, "init"), **kwargs)
-               for seed in train.seeds] for _, _, train, aug, kwargs in runs]
+    models = []
+    for label, _, train, aug, kwargs in runs:
+        try:
+            models.append([build_model(args.model, aug.out_size, stream(seed, "init"), **kwargs)
+                           for seed in train.seeds])
+        except ValueError as exc:  # a check only the model makes, such as the patch size
+            given = [f"aug.out_size={aug.out_size}", *(
+                f"{key}={text}" for key, text in settings.items() if key.startswith("model."))]
+            raise ValueError(f"{label}: {', '.join(given)}: {exc}") from exc
 
     train_windows, val_windows, stats = _load_split(args.data)
     _record_inputs(args, settings, stats)
@@ -221,17 +228,16 @@ def _write_run_csv(path, record) -> None:
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(["epoch", "train_loss", "val_loss", "accuracy", "precision",
-                         "recall", "f1", "roc_auc", "lr_head", "lr_unfrozen",
-                         "trainable_params", "seconds"])
+                         "recall", "f1", "roc_auc", "lr_head", "seconds"])
         for e in record.epochs:
             m = e.metrics
             writer.writerow([e.epoch, f"{e.train_loss:.6f}", f"{e.val_loss:.6f}",
                              f"{m.accuracy:.4f}", f"{m.precision:.4f}", f"{m.recall:.4f}",
                              f"{m.f1:.4f}", f"{m.roc_auc:.4f}", f"{e.lr_head:.8g}",
-                             f"{e.lr_unfrozen:.8g}", e.trainable_params, f"{e.seconds:.2f}"])
+                             f"{e.seconds:.2f}"])
         writer.writerow(["best_epoch", record.best_epoch, "optimizer_steps",
                          record.optimizer_steps, "total_params", record.total_params,
-                         "train_seconds", f"{record.train_seconds:.2f}", "", "", "", ""])
+                         "train_seconds", f"{record.train_seconds:.2f}", "", ""])
 
 
 def _cmd_eval(args) -> int:

@@ -4,7 +4,9 @@ Keys address TrainConfig fields directly, AugmentConfig fields under
 ``aug.``, and model hyperparameters under ``model.<arch>.<field>``, where
 ``<arch>`` is ``vit``, ``conv`` or ``hybrid``. ``apply_settings`` resolves
 all three here, the ``model.`` keys into ``build_model`` keyword arguments,
-and ``_coerce`` turns every value's text into its field's type.
+and ``_coerce`` turns every value's text into its field's type: an int, a
+float, a string, or a comma-separated tuple of ints or floats
+(``seeds = 1,2,3``). No setting is a boolean.
 Command-line overrides win over file values; every run emits the
 fully-resolved configuration next to its outputs.
 
@@ -46,19 +48,11 @@ def parse_kv_file(path) -> dict[str, str]:
 
 
 def _coerce(current, text: str):
-    if isinstance(current, bool):
-        if text.lower() in ("1", "true", "yes", "on"):
-            return True
-        if text.lower() in ("0", "false", "no", "off"):
-            return False
-        raise ValueError(f"cannot parse boolean from {text!r}")
     if isinstance(current, int):
         return int(text)
     if isinstance(current, float):
         return float(text)
     if isinstance(current, tuple):
-        if current and isinstance(current[0], tuple):  # unfreeze schedule: "5:1,8:2"
-            return tuple(tuple(int(p) for p in item.split(":")) for item in text.split(","))
         elem = type(current[0]) if current else float
         return tuple(elem(p) for p in text.split(","))
     return text
@@ -97,8 +91,6 @@ def apply_settings(settings: dict[str, str]):
 
 def _format_value(value) -> str:
     if isinstance(value, tuple):
-        if value and isinstance(value[0], tuple):
-            return ",".join(f"{a}:{b}" for a, b in value)
         return ",".join(str(v) for v in value)
     return str(value)
 

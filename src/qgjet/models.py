@@ -7,8 +7,8 @@ concatenate backbone features into a 512-wide two-layer MLP head with
 dropout 0.1. The triple hybrid pairs the main transformer with the conv
 net and a second, smaller transformer.
 
-Backbones are trained from scratch; the staged-unfreezing protocol maps
-"deepest blocks first" onto the last encoder blocks (or conv stages).
+Every model starts from random weights, and all of its parameters train
+together.
 """
 from __future__ import annotations
 
@@ -158,7 +158,6 @@ class TinyViT:
         if with_head:
             self.head_w = reg.add(f"{pre}head.w", Tensor(trunc_normal(rng, (d, NUM_CLASSES), dtype=dtype)))
             self.head_b = reg.add(f"{pre}head.b", Tensor(np.zeros(NUM_CLASSES, dtype=dtype)))
-        self._prefix = pre
         self.feature_dim = d
 
     def patch_embed(self, images: Tensor) -> Tensor:
@@ -183,13 +182,6 @@ class TinyViT:
     def forward(self, images: Tensor, mode: str = EVAL,
                 rng: np.random.Generator | None = None) -> Tensor:
         return _linear(self.features(images), self.head_w, self.head_b)
-
-    def block_prefixes(self) -> list[str]:
-        return [f"{self._prefix}blocks.{i}" for i in range(self.cfg.depth)]
-
-    def backbone_prefixes(self) -> list[str]:
-        names = ["patch", "cls", "pos", "norm"] + [f"blocks.{i}" for i in range(self.cfg.depth)]
-        return [f"{self._prefix}{n}" for n in names]
 
 
 class TinyConvNet:
@@ -221,7 +213,6 @@ class TinyConvNet:
             self.head_w = reg.add(f"{pre}head.w",
                                   Tensor(trunc_normal(rng, (cfg.feature_dim, NUM_CLASSES), dtype=dtype)))
             self.head_b = reg.add(f"{pre}head.b", Tensor(np.zeros(NUM_CLASSES, dtype=dtype)))
-        self._prefix = pre
         self.feature_dim = cfg.feature_dim
 
     def features(self, images: Tensor) -> Tensor:
@@ -235,12 +226,6 @@ class TinyConvNet:
     def forward(self, images: Tensor, mode: str = EVAL,
                 rng: np.random.Generator | None = None) -> Tensor:
         return _linear(self.features(images), self.head_w, self.head_b)
-
-    def block_prefixes(self) -> list[str]:
-        return [f"{self._prefix}stages.{i}" for i in range(len(self.cfg.widths))]
-
-    def backbone_prefixes(self) -> list[str]:
-        return self.block_prefixes()
 
 
 class HybridModel:
@@ -277,16 +262,6 @@ class HybridModel:
     def forward(self, images: Tensor, mode: str = EVAL,
                 rng: np.random.Generator | None = None) -> Tensor:
         return self.head(self.features(images), mode, rng)
-
-    def block_prefixes(self) -> list[str]:
-        # staged unfreezing targets the primary transformer's encoder blocks
-        return self.backbones[0].block_prefixes()
-
-    def backbone_prefixes(self) -> list[str]:
-        out = []
-        for b in self.backbones:
-            out.extend(b.backbone_prefixes())
-        return out
 
 
 def build_model(kind: str, image_size: int, rng: np.random.Generator, dtype=np.float32,

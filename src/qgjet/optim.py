@@ -82,28 +82,21 @@ def optimizer_step(kind: str, param: np.ndarray, grad: np.ndarray, lr: float,
 
 
 class Optimizer:
-    """Registry-driven optimizer honoring per-group learning rates; frozen
-    parameters are never touched."""
+    """Steps every parameter of ``registry`` under one rule at one learning
+    rate ``lr``, which the caller may change between steps."""
 
-    def __init__(self, kind: str, registry: ParameterRegistry,
-                 group_lrs: dict[str, float], weight_decay: float = 0.0):
+    def __init__(self, kind: str, registry: ParameterRegistry, lr: float,
+                 weight_decay: float = 0.0):
         if kind not in OPTIMIZER_KINDS:
             raise ValueError(f"unknown optimizer kind: {kind!r}")
         self.kind = kind
         self.registry = registry
-        self.group_lrs = dict(group_lrs)
+        self.lr = lr
         self.weight_decay = weight_decay
         self._state: dict[str, dict] = {}
 
-    def set_group_lr(self, group: str, lr: float):
-        self.group_lrs[group] = lr
-
     def step(self):
-        for name, entry in self.registry.items():
-            if not entry.tensor.requires_grad:
-                continue
-            lr = self.group_lrs[entry.group]
-            tensor = entry.tensor
+        for name, tensor in self.registry.items():
             grad = tensor.grad if tensor.grad is not None else np.zeros_like(tensor.data)
             state = self._state.setdefault(name, {})
-            optimizer_step(self.kind, tensor.data, grad, lr, self.weight_decay, state)
+            optimizer_step(self.kind, tensor.data, grad, self.lr, self.weight_decay, state)

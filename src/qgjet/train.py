@@ -1,13 +1,11 @@
 """Training protocol: seeded epochs over batches of 32 with the stochastic
-augmentation chain, soft-label cross-entropy, staged unfreezing of the
-deepest backbone blocks, early stopping on validation loss, and per-epoch
-metric snapshots. The default mode trains everything from scratch; staged
-mode starts with the backbone frozen and unfreezes per the schedule.
+augmentation chain, soft-label cross-entropy, early stopping on validation
+loss, and per-epoch metric snapshots.
 
-The policy is fixed. The head learning rate follows a cosine annealed once
-per epoch from ``head_lr`` over ``cosine_t_max`` epochs; unfrozen backbone
-blocks train at the constant ``unfrozen_lr``. Mixup runs exactly on the
-transformer path (``model.is_transformer_path``)."""
+The policy is fixed. Every parameter trains from random initialisation at
+one learning rate, a cosine annealed once per epoch from ``head_lr`` over
+``cosine_t_max`` epochs. Mixup runs exactly on the transformer path
+(``model.is_transformer_path``)."""
 from __future__ import annotations
 
 import math
@@ -17,7 +15,6 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import HEAD_GROUP
 from .augment import AugmentConfig, mixup, train_transform, validation_transform
 from .detector import JetWindow
 from .metrics import MetricReport, aggregate_seeds, compute_metrics, measure_inference_ms
@@ -29,32 +26,25 @@ from .rng import stream
 CONTINUE = "continue"
 STOP = "stop"
 
-UNFROZEN_GROUP = "unfrozen"
-
 
 @dataclass(frozen=True)
 class TrainConfig:
     head_lr: float = 1e-4
-    unfrozen_lr: float = 1e-6
     weight_decay: float = 1e-4
     batch_size: int = 32
     max_epochs: int = 20
     cosine_t_max: int = 50
     patience: int = 5
-    unfreeze_schedule: tuple[tuple[int, int], ...] = ((5, 1), (8, 2))  # (epoch, last-n blocks)
     optimizer: str = "adamw"
     seeds: tuple[int, ...] = (1, 2, 3)
-    staged_unfreezing: bool = False
 
     def __post_init__(self):
         if min(self.patience, self.batch_size, self.max_epochs, self.cosine_t_max) < 1:
             raise ValueError("patience, batch size, max epochs and cosine t_max must be at least 1")
-        if any(epoch < 0 or n_last < 1 for epoch, n_last in self.unfreeze_schedule):
-            raise ValueError("unfreeze schedule entries need epoch >= 0 and at least 1 block")
         if not self.seeds or len(set(self.seeds)) != len(self.seeds):
             raise ValueError(f"need at least one seed, each distinct: {self.seeds}")
-        if self.head_lr <= 0 or self.unfrozen_lr <= 0 or self.weight_decay < 0:
-            raise ValueError("learning rates must be positive and weight decay non-negative")
+        if self.head_lr <= 0 or self.weight_decay < 0:
+            raise ValueError("the learning rate must be positive and weight decay non-negative")
         if self.optimizer not in OPTIMIZER_KINDS:
             raise ValueError(f"unknown optimizer: {self.optimizer!r}")
 
@@ -66,8 +56,6 @@ class EpochStats:
     val_loss: float
     metrics: MetricReport
     lr_head: float
-    lr_unfrozen: float
-    trainable_params: int
     seconds: float
 
 
@@ -95,17 +83,6 @@ def early_stop_check(val_losses, patience: int) -> str:
         raise ValueError("need at least one recorded validation loss")
     best = int(np.argmin(val_losses))
     return STOP if (len(val_losses) - 1 - best) > patience else CONTINUE
-
-
-def apply_unfreeze_schedule(epoch: int, model, config: TrainConfig) -> None:
-    """Make the last-n backbone blocks trainable at their scheduled epochs
-    (idempotent); unfrozen parameters join the low-rate group. Staged mode
-    froze every block with the backbone before the first epoch."""
-    blocks = model.block_prefixes()
-    for at_epoch, n_last in config.unfreeze_schedule:
-        if epoch >= at_epoch:
-            for prefix in blocks[-n_last:]:
-                model.registry.set_trainable(prefix, True, UNFROZEN_GROUP)
 
 
 def _one_hot(labels: np.ndarray) -> np.ndarray:
@@ -160,12 +137,7 @@ def fit(train_windows: list[JetWindow], val_windows: list[JetWindow], model_kind
     val_onehot = _one_hot(val_labels)
 
     registry = model.registry
-    if config.staged_unfreezing:
-        for prefix in model.backbone_prefixes():
-            registry.set_trainable(prefix, False)
-    optimizer = Optimizer(config.optimizer, registry,
-                          {HEAD_GROUP: config.head_lr, UNFROZEN_GROUP: config.unfrozen_lr},
-                          config.weight_decay)
+    optimizer = Optimizer(config.optimizer, registry, config.head_lr, config.weight_decay)
 
     record = RunRecord(total_params=registry.n_total())
     best_state: dict[str, np.ndarray] | None = None
@@ -175,10 +147,7 @@ def fit(train_windows: list[JetWindow], val_windows: list[JetWindow], model_kind
 
     for epoch in range(config.max_epochs):
         epoch_start = time.perf_counter()
-        if config.staged_unfreezing:
-            apply_unfreeze_schedule(epoch, model, config)
-        lr_head = cosine_lr(epoch, config.head_lr, config.cosine_t_max)
-        optimizer.set_group_lr(HEAD_GROUP, lr_head)
+        optimizer.lr = cosine_lr(epoch, config.head_lr, config.cosine_t_max)
 
         order = stream(seed, "shuffle", epoch).permutation(n)
         drop_rng = stream(seed, "dropout", epoch)
@@ -216,9 +185,7 @@ def fit(train_windows: list[JetWindow], val_windows: list[JetWindow], model_kind
 
         record.epochs.append(EpochStats(
             epoch=epoch, train_loss=train_loss, val_loss=val_loss, metrics=report,
-            lr_head=lr_head, lr_unfrozen=config.unfrozen_lr,
-            trainable_params=registry.n_trainable(),
-            seconds=time.perf_counter() - epoch_start))
+            lr_head=optimizer.lr, seconds=time.perf_counter() - epoch_start))
 
         if record.best_epoch < 0 or val_loss < val_losses[record.best_epoch]:
             record.best_epoch = epoch

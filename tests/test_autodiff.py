@@ -311,6 +311,18 @@ class TestBackward:
         gx2, gw2 = run()
         assert np.array_equal(gx1, gx2) and np.array_equal(gw1, gw2)
 
+    def test_inputs_without_grad_stay_off_the_tape(self):
+        rng = np.random.default_rng(16)
+        x, w = rand64(rng, (4, 6), grad=False), rand64(rng, (4, 6))
+        with Tape() as tape:
+            h = ad.relu(x)  # no input needs a gradient: no node
+            assert tape.nodes == [] and not h.requires_grad
+            loss = sum_(ad.mul(h, w))  # mixed: only w needs one
+        assert len(tape.nodes) == 2
+        ad.backward(tape, loss)
+        assert x.grad is None and h.grad is None
+        assert np.array_equal(w.grad, h.data)
+
     def test_reused_tensor_accumulates(self):
         x = t64([3.0])
         with Tape() as tape:
@@ -364,20 +376,20 @@ class TestParameterRegistry:
         with pytest.raises(ValueError):
             reg.add("a.w", Tensor(np.zeros(3)))
 
-    def test_prefix_freezing_and_counts(self):
+    def test_every_parameter_needs_grad_and_counts(self):
         reg = ParameterRegistry()
-        reg.add("backbone.w", Tensor(np.zeros((2, 3))))
+        w = reg.add("backbone.w", Tensor(np.zeros((2, 3))))
         reg.add("backbone.b", Tensor(np.zeros(3)))
         reg.add("head.w", Tensor(np.zeros(4)))
-        assert reg.n_trainable() == 13
-        reg.set_trainable("backbone", False)
-        assert reg.n_trainable() == 4
+        assert reg["backbone.w"] is w
+        assert all(t.requires_grad for _, t in reg.items())
+        assert reg.n_total() == 13
 
     def test_state_dict_round_trip(self):
         rng = np.random.default_rng(20)
         reg = ParameterRegistry()
         reg.add("w", Tensor(rng.normal(size=(3, 3)).astype(np.float32)))
         state = reg.state_dict()
-        reg["w"].tensor.data[:] = 0
+        reg["w"].data[:] = 0
         reg.load_state_dict(state)
-        assert np.array_equal(reg["w"].tensor.data, state["w"])
+        assert np.array_equal(reg["w"].data, state["w"])

@@ -80,17 +80,29 @@ def _train(data_dir, out, *args, model="conv"):
     "model.vit.num_classes=3",
     "model.vit.patch_size=7",  # 32 is not a multiple of 7: rejected when the model is built
     "model.hybrid.dropout=1.5",  # dropout must be in [0, 1), whichever model trains
-    # training settings that crashed or opened every block before any check
-    "max_epochs=0", "cosine_t_max=0", "unfreeze_schedule=0:0", "unfreeze_schedule=-1:1",
+    # training settings that crashed before any check
+    "max_epochs=0", "cosine_t_max=0",
     # the model kind decides ImageNet normalisation, and colour jitter always runs
     "aug.imagenet_normalize=true", "aug.color_jitter=false",
     # augmentation ranges and sizes that crashed, or failed only after the
     # output directory was written; a negative decay and a repeated seed ran
     "aug.crop_scale=0.8", "aug.crop_scale=0.5,0.7,0.9", "aug.crop_ratio=0.5",
     "aug.crop_ratio=0,1", "aug.out_size=0", "weight_decay=-1", "seeds=1,1"))
-def test_bad_model_setting_is_a_usage_error(data_dir, tmp_path, setting):
+def test_bad_model_setting_is_a_usage_error(data_dir, tmp_path, capsys, setting):
+    capsys.readouterr()
     assert _train(data_dir, tmp_path / "run", "--set", "seeds=1", "--set", setting,
                   model="vit") == EXIT_USAGE
+    assert setting.split("=")[0] in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("setting", ("staged_unfreezing=true", "unfreeze_schedule=5:1,8:2",
+                                     "unfrozen_lr=1e-6"))
+def test_removed_training_setting_is_unknown(data_dir, tmp_path, capsys, setting):
+    """Every parameter trains from scratch at one rate: staged unfreezing is gone."""
+    capsys.readouterr()
+    assert _train(data_dir, tmp_path / "run", "--set", setting) == EXIT_USAGE
+    assert capsys.readouterr().err == f"error: unknown setting: {setting.split('=')[0]}\n"
     assert not (tmp_path / "run").exists()
 
 

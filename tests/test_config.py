@@ -7,10 +7,8 @@ from qgjet.config import apply_settings, format_resolved, parse_kv_file
 from qgjet.models import ConvConfig, HybridConfig, ViTConfig
 from qgjet.train import TrainConfig
 
-# one non-default value per field kind: float, int, str, bool, int tuple,
-# float tuple and the (epoch, n) unfreeze schedule
-TRAIN = TrainConfig(head_lr=3e-4, max_epochs=7, optimizer="lion", seeds=(4, 9),
-                    staged_unfreezing=True, unfreeze_schedule=((0, 1), (2, 3)))
+# one non-default value per field kind: float, int, str, int tuple and float tuple
+TRAIN = TrainConfig(head_lr=3e-4, max_epochs=7, optimizer="lion", seeds=(4, 9))
 AUG = AugmentConfig(crop_scale=(0.5, 0.9), out_size=48, max_rotation_deg=12.5)
 MODEL = {"model.conv.widths": "8,16", "model.vit.depth": "2", "model.hybrid.dropout": "0.3"}
 
@@ -54,13 +52,10 @@ def test_repeated_group_keeps_every_field():
     ("bogus", "1"),
     (".max_epochs", "3"),            # a bare leading dot names no group
     ("model.vit.", "3"),             # no field
-    ("staged_unfreezing", "maybe"),  # booleans are strict
     ("model.vit.image_size", "64"),  # the input size is aug.out_size
     ("model.hybrid.num_classes", "2"),  # the class count is fixed
     ("max_epochs", "0"),             # fit would return no epoch
     ("cosine_t_max", "0"),           # the cosine period divides
-    ("unfreeze_schedule", "0:0"),    # blocks[-0:] is every block
-    ("unfreeze_schedule", "-1:1"),
     ("model.hybrid.dropout", "1.5"),  # dropout must be in [0, 1)
     ("model.hybrid.dropout", "-0.1"),
     ("aug.imagenet_normalize", "true"),  # the model kind decides it
@@ -79,6 +74,18 @@ def test_bad_settings_rejected(key, value):
         apply_settings({key: value})
 
 
+# every parameter trains from scratch at one rate, so the staged-unfreezing
+# settings are gone; each value here is the default they once had
+REMOVED_SETTINGS = (("staged_unfreezing", "false"), ("unfreeze_schedule", "5:1,8:2"),
+                    ("unfrozen_lr", "1e-6"))
+
+
+@pytest.mark.parametrize("key, value", REMOVED_SETTINGS)
+def test_removed_setting_is_unknown(key, value):
+    with pytest.raises(ValueError, match=f"^unknown setting: {key}$"):
+        apply_settings({key: value})
+
+
 def test_group_is_checked_once_whatever_the_key_order():
     """Each config is built from all of its settings: no intermediate check."""
     want = {"vit_cfg": ViTConfig(embed_dim=48, heads=6)}
@@ -87,8 +94,6 @@ def test_group_is_checked_once_whatever_the_key_order():
 
 
 @pytest.mark.parametrize("key, value", [
-    ("unfreeze_schedule", "5"),      # not an epoch:blocks pair
-    ("unfreeze_schedule", "1:2,"),   # empty entry
     ("max_epochs", "x"),             # not an int
     ("max_epochs", "0"),
     ("aug.flip_prob", "2"),

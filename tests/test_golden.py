@@ -92,79 +92,33 @@ def test_validation_transform_golden(preset_windows, normalize):
 # Each command runs in a child process under QGJET_DETERMINISTIC=1, so every
 # numeric library is pinned to one thread before numpy loads. The digests
 # below cover checkpoints, run_config.txt, the CSVs with their wall-clock
-# cells blanked, and the lines ``eval`` prints. They were recorded before the
-# run harness was merged into one settings resolver, seed loop, freezing
-# routine and results row; a refactor must leave every one unchanged. The
-# run_config.txt digests alone were re-recorded when three unused training
-# switches (per-step head annealing, unfrozen-rate annealing and the mixup
-# override) were deleted: each is the digest of the earlier file with exactly
-# those three lines removed. They were re-recorded once more when the
-# ``aug.color_jitter`` and ``aug.imagenet_normalize`` lines left the file, in
-# the same way: each is the earlier file's digest with exactly those two lines
-# removed. The "scratch" set runs the same pipeline and sweep with the two
-# staged lines left out of the configuration, so every parameter trains from
-# the first step.
+# cells blanked, and the lines ``eval`` prints; a refactor must leave every
+# one unchanged. They were recorded beside an earlier staged-unfreezing set,
+# with the same pipeline and sweep, before staged unfreezing was deleted.
+# The deletion moved only the run_config.txt and run_seed<N>.csv digests:
+# each is the digest of the earlier file with exactly the unfrozen_lr,
+# unfreeze_schedule and staged_unfreezing lines removed, or exactly the
+# lr_unfrozen and trainable_params columns.
 
-CLI_CONFIGS = {
-    "staged": """\
-# staged unfreezing over two short epochs
-max_epochs = 2
-staged_unfreezing = true
-unfreeze_schedule = 0:1,1:2
-aug.out_size = 32
-model.vit.embed_dim = 32  # int field
-""",
-    "scratch": """\
+CLI_CONFIG = """\
 # two short epochs, every parameter trained from the first step
 max_epochs = 2
 aug.out_size = 32
 model.vit.embed_dim = 32  # int field
-""",
-}
+"""
 CLI_OVERRIDES = ("model.conv.widths=8,16", "model.hybrid.dropout=0.25")
 TIMING_CELLS = ("seconds", "TrainTime", "InferenceMs")
 
-CLI_DIGESTS = {"staged": {
-    "conv": {
-        "eval_seed1": "cdad72aa04325385dc530d1a336cf4193701a8163e093c7f3002fc57cafe8b0e",
-        "eval_seed2": "3bd5aa956b9dcdd986124a89db2788260976c18929fdaabd146a229a634cdda2",
-        "metrics.csv": "1cce1fc899d2498bd84a06f02352bf87e3a46aec26b8d4aed2df82bc43553529",
-        "model_seed1.ckpt": "8a75836ec5e53649d69591e0d131ef35f158bf127cdd66c8fc321f9d61360bb5",
-        "model_seed2.ckpt": "c0dc3667a9749f1439d5095d97f36e8205e7f4f7bd33cd03e053400adbac4aa6",
-        "run_config.txt": "5d6ce67ab874a8e462bc4407fc9a0dc4649ad1d772354fe4aa7dbb0640055460",
-        "run_seed1.csv": "b9f2cabed4ade209859fdfcefd5fa783d837b10344c1666b798f7d2679d83670",
-        "run_seed2.csv": "01f2b037d32cc5c8aa00030919475285cf08ecccd8572b84bd83620d0d3b6479",
-    },
-    "vit": {
-        "eval_seed1": "a7d19312899d90f1d0006525c6c86027cae58902111771b5c09215de99b7671c",
-        "eval_seed2": "8a4341fd1d6e5c42db4515c9e61a93c550b1224a45b7d85f930ed20de96fab97",
-        "metrics.csv": "bdb55e0e1b48a297facec377e413fef07bf29ac70c041ea3b261fd47099034f1",
-        "model_seed1.ckpt": "2e3c8199136f8026ab5318db7c506b17c96a84bb7b67091c6591a8c477e9d4e5",
-        "model_seed2.ckpt": "7192833fc6fe8b9c98447b076bc71e4ea85342abc064da36774f17d911e0e7ab",
-        "run_config.txt": "c2682a8091ec88cfd9baa939282eb65c5cebd5931b9bd439af2237351e8639dc",
-        "run_seed1.csv": "e40b2b3da6099c885bc0a98a0fc1dcc4aece9ed0ba41ad1bfe4376a7ed502963",
-        "run_seed2.csv": "5fdacd1408678e2fcd6930b82ba6dffcd8a563ce308bbc5a99343ce7a8cbdef2",
-    },
-    "hybrid2": {
-        "eval_seed1": "8fb88a16ba1fb8652b24eb0612d96076b9324775501698a38379e6df6f173b7f",
-        "eval_seed2": "1a467d64e0171360713f633628dce3c8f0862030ff46b47da1c52be1e9fe3368",
-        "metrics.csv": "9807a266518f123719c744c5d9959e0c5e7b741a7637357995beaf90d8b2b175",
-        "model_seed1.ckpt": "f7cd85593297ea648b65bac63ecae739848ea0b7ef0dba3130f3e98b56c798e1",
-        "model_seed2.ckpt": "2be17d318a82876e61027f027903a9b8d50e441fb3a7a5a119f0d91e870b9cd0",
-        "run_config.txt": "50a54a32e4a5986130f16b1fcf31c307dda29d102d3120da143762a40965f4cd",
-        "run_seed1.csv": "4f3237bf7006a48263358a83bdd451d450935454c75d1e0452dcf6800b2a7979",
-        "run_seed2.csv": "d30e9d7c62699ecbe0856eee235bd753b3e68115fb2f14c63e949a70dccdfd2b",
-    },
-}, "scratch": {
+CLI_DIGESTS = {
     "conv": {
         "eval_seed1": "442d1d724d28b1582f8cf532a63619db7d78099fc87826567bc8072d567b4d0f",
         "eval_seed2": "2e427aac2cf0bce9dc1ea3d79ee6b80c3aea7ba97912000fc10427a2cba3a57e",
         "metrics.csv": "ef049be313740442b58977137484b2db9a3a141a64d50b28e6f7767f4a695f25",
         "model_seed1.ckpt": "2b4e0b949c8394c43fe9e4dfb2d0bf5031416e390d96df6a639ff0def7de0aee",
         "model_seed2.ckpt": "10e8779ccf7b72d083cc56371911d6842cdbd4c8fff967d30174951ab720ea03",
-        "run_config.txt": "edf6436dd198d4b93268fda417c31d4c716e1b02fb8615cdebf6745b8c0cb540",
-        "run_seed1.csv": "7523678968c7b98b20968a866317a9877b33a09327ad551984d6837a80c72a08",
-        "run_seed2.csv": "d8b6357ecc408199828ffafc3588fe7fe7ade39ab7e0873a542803f17e64a57e",
+        "run_config.txt": "40e0de34ba2142208096c9658ef6032401f45de85d0a58a62c6dbb10b129ec1c",
+        "run_seed1.csv": "977e95a9e45db113f8e751dcbed1712032a09b3979ff7842f0717ff988d28320",
+        "run_seed2.csv": "4c3b7be38957c2eec0b4003fffe2df8926e7120a834bc935580b4eef5de43fe8",
     },
     "vit": {
         "eval_seed1": "54ba5b6c72911350273d9945de0bce98c7167f149c1b049d7ff2f3b55bbaf765",
@@ -172,9 +126,9 @@ CLI_DIGESTS = {"staged": {
         "metrics.csv": "f804810eb5393b3a167ac3c33130ce3f2019ebc1b5b28d7bd993aff76399178f",
         "model_seed1.ckpt": "fbc23142423e559985e662337e65867f8b29e87768cec98dfd014231904450db",
         "model_seed2.ckpt": "4f83798680182c04a78a41facedfedcbac50fa013e0ea6152a0bb24156672132",
-        "run_config.txt": "079856e4cb7a5ec343047cfdecab081e57c6011f4dfb8e6979b1ea645b552fce",
-        "run_seed1.csv": "cc036bc45d2f10cb11eafa7214f406c1d78cdd26f1888a616648d38f3feda118",
-        "run_seed2.csv": "0df55eaa0d4c3eef9be633e836964c3b5865e882ccdd41fa96b25f0d2cc3103f",
+        "run_config.txt": "dc9dfc33a281bc57bba098b96e347fcea5e2b37d4aa73b337f3e1f611c5cdc7d",
+        "run_seed1.csv": "a6615df94d2d3ea791ccad3234eeab2548e88e6ef3794665abe6fa94488d1758",
+        "run_seed2.csv": "975be3c70f8fccca89b88429842740c447418201d6fd5b3ffdd203921c95b5b5",
     },
     "hybrid2": {
         "eval_seed1": "d082bd74beb23df8933338c98af81f985aae8a42c3169c3199310edbd8f7d7c0",
@@ -182,13 +136,12 @@ CLI_DIGESTS = {"staged": {
         "metrics.csv": "c4a878e0469479c59b434c6373de9c7ecb35ce2b53debbfca89529f9d811546f",
         "model_seed1.ckpt": "b8ee29bf823d0bb1d547116c12e238a7a90ae9e39cdf317b97a0de8a9f0290d5",
         "model_seed2.ckpt": "317878131853f7c0f41b3792fa52284ce203b247d6c3e24738c54b3ab81b08e9",
-        "run_config.txt": "e324a186770e2eb4eccac9cf1621904fb25d18acc9c5b67bc13da89ce0ea14a3",
-        "run_seed1.csv": "8b544ad8853ffe2f8db9433bb8a9ecf6e99055d229a571578808d4df71a2a2e8",
-        "run_seed2.csv": "96ef10627b3f6b4a9665fcd67a120c32e74b59561d888ec718e91452a461752c",
+        "run_config.txt": "dc005207d5a3a1f2445a68a978493df7c061ef40c33c5b9c3dd1e815d2bd932e",
+        "run_seed1.csv": "f4d47d05c26f73e28629f677c9e17daeeffb4d56ca5ab8550c13f120c525564b",
+        "run_seed2.csv": "2263a3e2f7c1078bffd59a0e971d902ba4c63cbd04cc6fbc4d8ba9447b559544",
     },
-}}
-SWEEP_DIGESTS = {"staged": "fa969754013489f34fa306c2f55f946c2f049f00b67a9a2cd5ba9d756301c305",
-                 "scratch": "eade6a7ba88b8c579994512f21fe6be013cd9abfc3e4a95ce7a9f16417eedf5c"}
+}
+SWEEP_DIGEST = "eade6a7ba88b8c579994512f21fe6be013cd9abfc3e4a95ce7a9f16417eedf5c"
 
 
 def _qgjet(*args) -> str:
@@ -224,8 +177,7 @@ def cli_data(tmp_path_factory):
     d = tmp_path_factory.mktemp("golden_data")
     _qgjet("synth", "--preset", "easy", "--n", 8, "--seed", 1, "--out", d / "train.jqg")
     _qgjet("synth", "--preset", "easy", "--n", 8, "--seed", 2, "--out", d / "val.jqg")
-    for name, text in CLI_CONFIGS.items():
-        (d / f"{name}.cfg").write_text(text)
+    (d / "run.cfg").write_text(CLI_CONFIG)
     return d
 
 
@@ -233,11 +185,10 @@ def _set_args():
     return [arg for item in CLI_OVERRIDES for arg in ("--set", item)]
 
 
-@pytest.mark.parametrize("kind", ("conv", "hybrid2", "vit"))
-@pytest.mark.parametrize("protocol", sorted(CLI_CONFIGS))
-def test_cli_pipeline_golden(cli_data, tmp_path, protocol, kind):
+@pytest.mark.parametrize("kind", sorted(CLI_DIGESTS))
+def test_cli_pipeline_golden(cli_data, tmp_path, kind):
     out = tmp_path / kind
-    _qgjet("train", "--data", cli_data, "--model", kind, "--config", cli_data / f"{protocol}.cfg",
+    _qgjet("train", "--data", cli_data, "--model", kind, "--config", cli_data / "run.cfg",
            "--set", "seeds=1,2", "--out", out, *_set_args())
     got = {"run_config.txt": _file_digest(out / "run_config.txt"),
            "metrics.csv": _csv_digest(out / "metrics.csv")}
@@ -250,13 +201,12 @@ def test_cli_pipeline_golden(cli_data, tmp_path, protocol, kind):
     assert sorted(p.name for p in out.iterdir()) == sorted(
         ["stats.txt", "run_config.txt", "metrics.csv", "model_seed1.ckpt", "model_seed2.ckpt",
          "run_seed1.csv", "run_seed2.csv"])
-    assert got == CLI_DIGESTS[protocol][kind]
+    assert got == CLI_DIGESTS[kind]
 
 
-@pytest.mark.parametrize("protocol", sorted(CLI_CONFIGS))
-def test_cli_sweep_golden(cli_data, tmp_path, protocol):
+def test_cli_sweep_golden(cli_data, tmp_path):
     # recorded when a sweep fitted only its first seed; seeds=1 is that run
     _qgjet("sweep", "--axis", "dropout", "--values", "0.0,0.5", "--data", cli_data,
-           "--model", "hybrid2", "--config", cli_data / f"{protocol}.cfg", "--out", tmp_path,
+           "--model", "hybrid2", "--config", cli_data / "run.cfg", "--out", tmp_path,
            "--set", "max_epochs=1", "--set", "seeds=1", *_set_args())
-    assert _csv_digest(tmp_path / "sweep_dropout.csv") == SWEEP_DIGESTS[protocol]
+    assert _csv_digest(tmp_path / "sweep_dropout.csv") == SWEEP_DIGEST

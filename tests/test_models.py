@@ -113,8 +113,8 @@ class TestEncoderBlock:
         model = tiny_vit(dtype=np.float64)
         block = model.blocks[0]
         gen = np.random.default_rng(9)
-        for _, entry in model.registry.items():
-            entry.tensor.data = gen.normal(0.0, 0.3, size=entry.tensor.shape)
+        for _, t in model.registry.items():
+            t.data = gen.normal(0.0, 0.3, size=t.shape)
         x = Tensor(gen.normal(size=(1, 4, 8)))
         w = Tensor(gen.normal(size=(1, 4, 8)))
         params = [block.attn.p[k] for k in ("wq", "wk", "wv", "wo")] + [block.w1, block.w2]
@@ -165,13 +165,13 @@ class TestViTForward:
     def test_e2e_gradcheck_tiny(self):
         model = tiny_vit(dtype=np.float64)
         gen = np.random.default_rng(42)
-        for _, entry in model.registry.items():
-            entry.tensor.data = gen.normal(0.0, 0.3, size=entry.tensor.shape)
+        for _, t in model.registry.items():
+            t.data = gen.normal(0.0, 0.3, size=t.shape)
         mag = gen.uniform(0.3, 1.0, size=(2, 3, 32, 32))
         sgn = gen.choice([-1.0, 1.0], size=(2, 3, 32, 32))
         images = Tensor(mag * sgn)
         targets = Tensor(np.array([[0.7, 0.3], [0.2, 0.8]]))
-        params = [e.tensor for _, e in model.registry.items()]
+        params = [t for _, t in model.registry.items()]
         err = grad_check(lambda: ad.cross_entropy_soft(model.forward(images), targets),
                             params, eps=1e-4)
         assert err <= 1e-4

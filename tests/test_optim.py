@@ -56,16 +56,17 @@ def test_early_stop_needs_a_loss():
         early_stop_check([], 3)
 
 
-def test_step_leaves_frozen_parameters_untouched():
+def test_step_updates_every_parameter_at_one_rate():
     rng = np.random.default_rng(5)
     reg = ParameterRegistry()
-    frozen = reg.add("backbone.w", Tensor(rng.normal(size=(4, 4)).astype(np.float32)))
-    trained = reg.add("head.w", Tensor(rng.normal(size=(4, 2)).astype(np.float32)))
-    reg.set_trainable("backbone", False)
-    frozen.grad = np.ones_like(frozen.data)  # a stray gradient must not move it either
-    trained.grad = np.ones_like(trained.data)
-    frozen_bytes, trained_bytes = frozen.data.tobytes(), trained.data.tobytes()
+    for name, shape in (("backbone.w", (4, 4)), ("head.w", (4, 2))):
+        t = reg.add(name, Tensor(rng.normal(size=shape).astype(np.float32)))
+        t.grad = rng.normal(size=shape).astype(np.float32)
+    want = {}
+    for name, t in reg.items():
+        want[name] = t.data.copy()
+        optimizer_step("adamw", want[name], t.grad, 0.1, 0.1, {})
 
-    Optimizer("adamw", reg, {"head": 0.1}, weight_decay=0.1).step()
-    assert frozen.data.tobytes() == frozen_bytes
-    assert trained.data.tobytes() != trained_bytes
+    Optimizer("adamw", reg, 0.1, weight_decay=0.1).step()
+    for name, t in reg.items():
+        assert t.data.tobytes() == want[name].tobytes(), name

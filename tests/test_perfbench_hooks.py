@@ -1,10 +1,12 @@
 """The benchmark under ``perfbench/`` reaches into qgjet by name: its traced
 run wraps functions at the modules that call them, and its workloads import
 configs, entry points and helpers. These tests make a rename or deletion of
-any such name fail here, not only when the benchmark runs. They read
-``perfbench/`` and change nothing in it."""
+any such name, or a changed signature of a function or class it calls, fail
+here, not only when the benchmark runs. They read ``perfbench/`` and change
+nothing in it."""
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
 import pytest
@@ -51,3 +53,41 @@ def test_names_the_benchmark_uses_exist(name):
     for module, attr in _qgjet_references(PERFBENCH / name):
         owner = importlib.import_module(f"qgjet.{module}")
         assert hasattr(owner, attr), f"perfbench/{name} uses qgjet.{module}.{attr}"
+
+
+def _qgjet_calls(path: Path):
+    """(call node, callee) for each call in the file whose callee is a qgjet
+    function or class, named directly or read off an imported qgjet module."""
+    tree = ast.parse(path.read_text())
+    modules, names = {}, {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "qgjet":
+            modules.update({a.asname or a.name: importlib.import_module(f"qgjet.{a.name}")
+                            for a in node.names})
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("qgjet."):
+            owner = importlib.import_module(node.module)
+            names.update({a.asname or a.name: getattr(owner, a.name) for a in node.names})
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Name) and func.id in names:
+            yield node, names[func.id]
+        elif (isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name)
+              and func.value.id in modules):
+            yield node, getattr(modules[func.value.id], func.attr)
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in PERFBENCH.glob("*.py")))
+def test_benchmark_calls_still_bind(name):
+    """Each call keeps its shape: as many positional arguments and the same
+    keyword names still bind to the callee's signature."""
+    unbound = []
+    for call, callee in _qgjet_calls(PERFBENCH / name):
+        assert not any(isinstance(a, ast.Starred) for a in call.args), call.lineno
+        assert all(k.arg for k in call.keywords), call.lineno
+        try:
+            inspect.signature(callee).bind(*call.args, **{k.arg: k for k in call.keywords})
+        except TypeError as exc:
+            unbound.append(f"perfbench/{name}:{call.lineno} {callee.__qualname__}: {exc}")
+    assert unbound == []
