@@ -1,4 +1,5 @@
-"""Golden locks on the augmentation chain and on the CLI pipeline.
+"""Golden locks on the generated windows, the augmentation chain and the
+CLI pipeline.
 
 The augmentation sha256 digests below were recorded from the dense reference
 implementation of ``qgjet.augment`` (numpy 2.4, OpenBLAS, one BLAS thread).
@@ -84,6 +85,34 @@ def test_validation_transform_golden(preset_windows, normalize):
     name, windows, stats = preset_windows
     config = replace(AugmentConfig(), imagenet_normalize=normalize)
     assert validation_digest(windows, stats, config) == VALIDATION_DIGESTS[(name, normalize)]
+
+
+# Golden lock on the windows themselves: each digest is the sha256 over
+# ``generate_dataset``'s output, one label byte then the window's
+# little-endian float32 bytes per window. A change to synthesis, binning,
+# centring or cropping must leave every byte unchanged.
+
+WINDOW_DIGESTS = {
+    # (preset, seed, jet_eta_range or None for the preset's own): sha256
+    ("easy", 1, None): "d3f6ee28be27a4d2b83848f52f18b40169dd083e45b956d9d9816a7abb23ee61",
+    ("paperlike", 1, None): "7c3cf668433b55dcd9e063f428365293435c44a6819cd1e3b5cd020d4c731554",
+    ("hard", 1, None): "2fb7b68f2f9152cf9d3d5391e5292881d59edfc7c54b3a049915888221778eac",
+    # wide enough that some windows cannot fit and are resampled
+    ("easy", 2, (-1.79, 1.79)): "a19208b3f09f5266d826b55cbb97ece8716e705d0e19d1439d0f3a85e1ed5b32",
+}
+WINDOWS_PER_CLASS = 32
+
+
+@pytest.mark.parametrize("name, seed, eta_range", sorted(WINDOW_DIGESTS, key=str))
+def test_generated_windows_golden(name, seed, eta_range):
+    config = preset(name, seed=seed)
+    if eta_range is not None:
+        config = replace(config, jet_eta_range=eta_range)
+    h = hashlib.sha256()
+    for w in generate_dataset(config, WINDOWS_PER_CLASS):
+        h.update(bytes([w.label]))
+        h.update(w.data.astype("<f4").tobytes())
+    assert h.hexdigest() == WINDOW_DIGESTS[(name, seed, eta_range)]
 
 
 # ---------------------------------------------------------------------------
