@@ -116,27 +116,35 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_stats(args) -> int:
-    from .datastore import read_dataset, write_stats
+    from .datastore import write_stats
     from .preprocess import compute_channel_stats
 
-    stats = compute_channel_stats(read_dataset(args.train))
+    stats = compute_channel_stats(_read_windows(args.train))
     write_stats(args.out, stats)
     print(f"mu={stats.mu.tolist()} sigma={stats.sigma.tolist()} over {stats.n_pixels} pixels/channel")
     return EXIT_OK
 
 
+def _read_windows(path):
+    """The windows of a dataset file that exists and holds at least one."""
+    from .datastore import DataFormatError, read_dataset
+
+    if not os.path.exists(path):
+        raise FileNotFoundError(f"expected dataset at {path}")
+    windows = read_dataset(path)
+    if not windows:
+        raise DataFormatError(f"{path} holds no windows")
+    return windows
+
+
 def _load_split(data_dir: str):
     """Train and val windows, and ``<data>/stats.txt`` or else the train windows' stats."""
     import os.path as osp
-    from .datastore import read_dataset, read_stats
+    from .datastore import read_stats
     from .preprocess import compute_channel_stats
 
-    train_path = osp.join(data_dir, "train.jqg")
-    val_path = osp.join(data_dir, "val.jqg")
-    for path in (train_path, val_path):
-        if not osp.exists(path):
-            raise FileNotFoundError(f"expected dataset at {path}")
-    train_windows, val_windows = read_dataset(train_path), read_dataset(val_path)
+    train_windows, val_windows = (_read_windows(osp.join(data_dir, f"{split}.jqg"))
+                                  for split in ("train", "val"))
     stats_path = osp.join(data_dir, "stats.txt")
     stats = read_stats(stats_path) if osp.exists(stats_path) else compute_channel_stats(train_windows)
     return train_windows, val_windows, stats
@@ -248,7 +256,7 @@ def _cmd_eval(args) -> int:
 
     from .config import apply_settings, parse_kv_file
     from .augment import validation_transform
-    from .datastore import DataFormatError, read_checkpoint, read_dataset, read_stats
+    from .datastore import DataFormatError, read_checkpoint, read_stats
     from .models import build_model
     from .rng import stream
     from .train import evaluate
@@ -262,7 +270,7 @@ def _cmd_eval(args) -> int:
 
     stats_path = args.stats or osp.join(osp.dirname(args.checkpoint) or ".", "stats.txt")
     stats = read_stats(stats_path)
-    windows = read_dataset(args.data)
+    windows = _read_windows(args.data)
 
     model = build_model(model_kind, aug_cfg.out_size, stream(0, "init"), **kwargs)
     state = read_checkpoint(args.checkpoint)

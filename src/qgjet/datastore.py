@@ -81,8 +81,10 @@ def read_dataset(path) -> list[JetWindow]:
         raise SizeMismatch(f"expected {expected} bytes for {n} samples, found {len(raw)}")
     windows = []
     offset = _DATASET_HEADER.size
-    for _ in range(n):
+    for i in range(n):
         label = raw[offset]
+        if label not in (0, 1):
+            raise DataFormatError(f"{path}: sample {i} has label byte {label}, expected 0 or 1")
         offset += 1
         data = np.frombuffer(raw, dtype="<f4", count=c * h * w, offset=offset)
         offset += 4 * c * h * w
@@ -106,6 +108,8 @@ def read_stats(path) -> ChannelStats:
         raise DataFormatError(f"malformed statistics file {path}") from exc
     if mu.shape != (3,) or sigma.shape != (3,):
         raise DataFormatError("statistics file must carry three values per line")
+    if not (np.isfinite(mu).all() and np.isfinite(sigma).all() and (sigma > 0).all()):
+        raise DataFormatError(f"{path}: mu and sigma must be finite and sigma positive")
     return ChannelStats(mu=mu, sigma=sigma, n_pixels=0)
 
 

@@ -1,12 +1,14 @@
 """Detector-grid geometry: hit binning, tower upsampling, jet-window crops.
 
-The full-detector view is a 3-channel image on a fine 280x360 (eta, phi)
-grid covering |eta| < 3 and the full azimuth. TRACK and ECAL deposits are
-binned at fine resolution; HCAL deposits live on the native 56x72 tower
-grid and are upsampled by 5x5 block replication. A jet window is a 125x125
-crop centered on the hottest HCAL tower near the jet axis; columns wrap in
-phi, rows never pad in eta. The geometry is fixed and lives in module
-constants.
+An event reaches the detector as four per-hit arrays: eta, phi (radians),
+value (GeV; the track channel carries pT) and channel (a ``Channel``). The
+full-detector frame they bin into is a float32 [3, 280, 360] array on a
+fine (eta, phi) grid covering |eta| < 3 and the full azimuth. TRACK and
+ECAL deposits are binned at fine resolution; HCAL deposits are summed on
+the native 56x72 tower grid and upsampled by 5x5 block replication. A jet
+window is a 125x125 crop centered on the hottest HCAL tower near the jet
+axis; columns wrap in phi, rows never pad in eta. The geometry is fixed and
+lives in module constants.
 """
 from __future__ import annotations
 
@@ -42,24 +44,6 @@ class EtaOutOfRange(ValueError):
     """Window center too close to the eta edge for a full 125-pixel crop."""
 
 
-@dataclass(frozen=True)
-class DetectorHit:
-    eta: float
-    phi: float      # radians in (-pi, pi]
-    value: float    # GeV; the track channel carries pT
-    channel: Channel
-
-
-@dataclass
-class FullDetectorImage:
-    data: np.ndarray  # float32 [3, N_ETA, N_PHI]
-
-    def hcal_native(self) -> np.ndarray:
-        """Tower values [56, 72]; valid because the HCAL channel is
-        block-constant after upsampling."""
-        return self.data[Channel.HCAL, ::HCAL_FACTOR, ::HCAL_FACTOR]
-
-
 @dataclass
 class JetWindow:
     data: np.ndarray  # float32 [3, 125, 125]
@@ -81,35 +65,22 @@ def _phi_bin(phi, n_phi: int):
     return np.minimum(idx, n_phi - 1)
 
 
-def bin_hits(hits) -> FullDetectorImage:
-    """Sum hits into the fine grid; HCAL goes through the native tower grid.
+def bin_hits(eta, phi, value, channel) -> np.ndarray:
+    """Sum hits into the float32 [3, N_ETA, N_PHI] frame; HCAL goes through
+    the native tower grid.
 
     Hits with |eta| >= ETA_MAX are dropped, never an error. Cells receiving
-    several hits accumulate their sum.
+    several hits accumulate their sum in hit order.
     """
-    eta = np.array([h.eta for h in hits], dtype=np.float64)
-    phi = np.array([h.phi for h in hits], dtype=np.float64)
-    val = np.array([h.value for h in hits], dtype=np.float64)
-    cha = np.array([int(h.channel) for h in hits], dtype=np.int64)
-
-    in_range = np.abs(eta) < ETA_MAX if len(hits) else np.zeros(0, dtype=bool)
-    eta, phi, val, cha = eta[in_range], phi[in_range], val[in_range], cha[in_range]
-
+    in_range = np.abs(eta) < ETA_MAX
     image = np.zeros((3, N_ETA, N_PHI), dtype=np.float64)
-    for channel in (Channel.TRACK, Channel.ECAL):
-        sel = cha == int(channel)
-        rows = _eta_bin(eta[sel], N_ETA)
-        cols = _phi_bin(phi[sel], N_PHI)
-        np.add.at(image[channel], (rows, cols), val[sel])
-
-    sel = cha == int(Channel.HCAL)
     native = np.zeros((N_ETA_HCAL, N_PHI_HCAL), dtype=np.float64)
-    rows = _eta_bin(eta[sel], N_ETA_HCAL)
-    cols = _phi_bin(phi[sel], N_PHI_HCAL)
-    np.add.at(native, (rows, cols), val[sel])
+    for ch, grid in zip(Channel, (image[Channel.TRACK], image[Channel.ECAL], native)):
+        sel = in_range & (channel == ch)
+        n_eta, n_phi = grid.shape
+        np.add.at(grid, (_eta_bin(eta[sel], n_eta), _phi_bin(phi[sel], n_phi)), value[sel])
     image[Channel.HCAL] = upsample_hcal(native)
-
-    return FullDetectorImage(image.astype(np.float32))
+    return image.astype(np.float32)
 
 
 def upsample_hcal(native: np.ndarray) -> np.ndarray:
@@ -120,7 +91,7 @@ def upsample_hcal(native: np.ndarray) -> np.ndarray:
     return np.repeat(np.repeat(native, HCAL_FACTOR, axis=0), HCAL_FACTOR, axis=1)
 
 
-def find_window_center(image: FullDetectorImage, jet_eta: float, jet_phi: float) -> tuple[int, int]:
+def find_window_center(image: np.ndarray, jet_eta: float, jet_phi: float) -> tuple[int, int]:
     """Hottest HCAL tower in the 9x9 neighborhood of the jet centroid tower.
 
     The neighborhood wraps in phi and truncates in eta. Ties between equal
@@ -133,31 +104,25 @@ def find_window_center(image: FullDetectorImage, jet_eta: float, jet_phi: float)
     trow = int(_eta_bin(np.float64(jet_eta), N_ETA_HCAL))
     tcol = int(_phi_bin(np.float64(jet_phi), N_PHI_HCAL))
 
-    hcal = image.hcal_native()
-    best_energy = -1.0
-    best = (trow, tcol)
-    for r in range(max(0, trow - NEIGHBORHOOD_HALF),
-                   min(N_ETA_HCAL, trow + NEIGHBORHOOD_HALF + 1)):
-        for dc in range(-NEIGHBORHOOD_HALF, NEIGHBORHOOD_HALF + 1):
-            c = (tcol + dc) % N_PHI_HCAL
-            e = float(hcal[r, c])
-            if e > best_energy or (e == best_energy and (r, c) < best):
-                best_energy = e
-                best = (r, c)
-    if best_energy == 0.0:
-        best = (trow, tcol)  # no deposit anywhere: keep the centroid tower
-
-    half = HCAL_FACTOR // 2
-    return (best[0] * HCAL_FACTOR + half, best[1] * HCAL_FACTOR + half)
+    # towers are block-constant after upsampling: one fine pixel per tower
+    hcal = image[Channel.HCAL, ::HCAL_FACTOR, ::HCAL_FACTOR]
+    row0 = max(0, trow - NEIGHBORHOOD_HALF)
+    # sorted columns make the row-major argmax pick the smallest (row, col)
+    cols = sorted((tcol + dc) % N_PHI_HCAL
+                  for dc in range(-NEIGHBORHOOD_HALF, NEIGHBORHOOD_HALF + 1))
+    block = hcal[row0:trow + NEIGHBORHOOD_HALF + 1, cols]
+    r, c = divmod(int(np.argmax(block)), len(cols))
+    row, col = (row0 + r, cols[c]) if block[r, c] != 0.0 else (trow, tcol)
+    return (row * HCAL_FACTOR + HCAL_FACTOR // 2, col * HCAL_FACTOR + HCAL_FACTOR // 2)
 
 
-def crop_jet_window(image: FullDetectorImage, center: tuple[int, int]) -> JetWindow:
-    """125x125 crop around ``center``; columns wrap modulo N_PHI, rows must
-    fit entirely inside the eta range."""
+def crop_jet_window(image: np.ndarray, center: tuple[int, int]) -> JetWindow:
+    """125x125 crop of the [3, N_ETA, N_PHI] frame around ``center``; columns
+    wrap modulo N_PHI, rows must fit entirely inside the eta range."""
     row, col = center
     if row < WINDOW_HALF or row > N_ETA - WINDOW_HALF - 1:
         raise EtaOutOfRange(f"window center row {row} leaves no room for a full crop")
     rows = slice(row - WINDOW_HALF, row + WINDOW_HALF + 1)
     cols = np.arange(col - WINDOW_HALF, col + WINDOW_HALF + 1) % N_PHI
-    window = image.data[:, rows, :][:, :, cols]
+    window = image[:, rows, :][:, :, cols]
     return JetWindow(np.ascontiguousarray(window, dtype=np.float32))

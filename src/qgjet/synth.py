@@ -2,8 +2,10 @@
 
 Gluon-like jets carry higher particle multiplicity and a wider angular
 spread than quark-like jets; the separability presets tune how far apart
-the two classes sit. Generation is a pure function of (config, event
-index): every event draws from its own counter-based stream.
+the two classes sit. An event is four per-hit arrays (eta, phi, value,
+channel) plus its jet axis, label and pT; the arrays go straight to
+``bin_hits``. Generation is a pure function of (config, event index): every
+event draws from its own counter-based stream.
 """
 from __future__ import annotations
 
@@ -12,8 +14,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .detector import (GLUON, QUARK, Channel, DetectorHit, EtaOutOfRange, JetWindow,
-                       bin_hits, crop_jet_window, find_window_center, wrap_phi)
+from .detector import (GLUON, QUARK, Channel, EtaOutOfRange, JetWindow, bin_hits,
+                       crop_jet_window, find_window_center, wrap_phi)
 from .rng import stream
 
 # Fraction of a charged particle's pT deposited in the ECAL on top of its
@@ -64,7 +66,10 @@ def preset(name: str, seed: int = 0) -> SynthConfig:
 
 @dataclass
 class JetEvent:
-    hits: list[DetectorHit]
+    eta: np.ndarray      # per hit
+    phi: np.ndarray      # radians in [-pi, pi)
+    value: np.ndarray    # GeV; the track channel carries pT
+    channel: np.ndarray  # Channel of each hit
     true_eta: float
     true_phi: float
     label: int
@@ -75,6 +80,9 @@ def sample_jet(config: SynthConfig, label: int, rng: np.random.Generator) -> Jet
     """Draw one jet: Poisson multiplicity (min 1), isotropic Gaussian angular
     offsets kept within dR < 1, Dirichlet pT sharing, and per-particle species
     routing (charged -> TRACK + ECAL leakage, photon -> ECAL, neutral -> HCAL).
+
+    Hits come in particle order; a charged particle's ECAL leakage follows
+    its track hit.
     """
     if label == QUARK:
         mean_mult, width = config.mean_mult_quark, config.width_quark
@@ -97,20 +105,15 @@ def sample_jet(config: SynthConfig, label: int, rng: np.random.Generator) -> Jet
     species = rng.choice(3, size=n, p=[config.charged_frac, config.photon_frac,
                                        config.neutral_had_frac])
 
-    hits: list[DetectorHit] = []
-    for i in range(n):
-        eta = jet_eta + offsets[i, 0]
-        phi = float(wrap_phi(jet_phi + offsets[i, 1]))
-        pt = float(jet_pt * fractions[i])
-        if species[i] == 0:
-            hits.append(DetectorHit(eta, phi, pt, Channel.TRACK))
-            hits.append(DetectorHit(eta, phi, pt * CHARGED_ECAL_FRACTION, Channel.ECAL))
-        elif species[i] == 1:
-            hits.append(DetectorHit(eta, phi, pt, Channel.ECAL))
-        else:
-            hits.append(DetectorHit(eta, phi, pt, Channel.HCAL))
-
-    return JetEvent(hits, jet_eta, jet_phi, label, jet_pt)
+    # species k deposits in Channel k; a charged particle adds an ECAL leak
+    particle = np.repeat(np.arange(n), np.where(species == Channel.TRACK, 2, 1))
+    leak = np.diff(particle, prepend=-1) == 0  # the second hit of a charged particle
+    value = (jet_pt * fractions)[particle]
+    value[leak] *= CHARGED_ECAL_FRACTION
+    channel = np.where(leak, Channel.ECAL, species[particle])
+    eta = (jet_eta + offsets[:, 0])[particle]
+    phi = wrap_phi(jet_phi + offsets[:, 1])[particle]
+    return JetEvent(eta, phi, value, channel, jet_eta, jet_phi, label, jet_pt)
 
 
 def apply_selection(event: JetEvent) -> bool:
@@ -138,7 +141,7 @@ def generate_dataset(config: SynthConfig, n_per_class: int) -> list[JetWindow]:
             event = sample_jet(config, label, rng)
             if not apply_selection(event):
                 continue
-            image = bin_hits(event.hits)
+            image = bin_hits(event.eta, event.phi, event.value, event.channel)
             center = find_window_center(image, event.true_eta, event.true_phi)
             try:
                 window = crop_jet_window(image, center)

@@ -223,6 +223,44 @@ def straightline_intensity_pgm(images, log: bool) -> bytes:
     return f"P5\n{w} {h}\n255\n".encode("ascii") + grey.astype(np.uint8).tobytes()
 
 
+# The per-particle jet sampler that ``qgjet.synth.sample_jet`` replaced with
+# one vectorised step. It draws from the stream in the same order and routes
+# each particle in a Python loop: charged -> TRACK then its ECAL leakage,
+# photon -> ECAL, neutral hadron -> HCAL. The library must match it bit for bit.
+
+def per_particle_hits(config, label: int, rng: np.random.Generator):
+    """(eta, phi, value, channel) arrays of one jet, built hit by hit."""
+    quark = label == 1
+    mean_mult = config.mean_mult_quark if quark else config.mean_mult_gluon
+    width = config.width_quark if quark else config.width_gluon
+    jet_pt = float(rng.uniform(*config.jet_pt_range))
+    jet_eta = float(rng.uniform(*config.jet_eta_range))
+    jet_phi = float(rng.uniform(-math.pi, math.pi))
+    n = max(1, int(rng.poisson(mean_mult)))
+    offsets = rng.normal(0.0, width, size=(n, 2))
+    while True:
+        outside = np.hypot(offsets[:, 0], offsets[:, 1]) >= 1.0
+        if not outside.any():
+            break
+        offsets[outside] = rng.normal(0.0, width, size=(int(outside.sum()), 2))
+    fractions = rng.dirichlet(np.ones(n))
+    species = rng.choice(3, size=n, p=[config.charged_frac, config.photon_frac,
+                                       config.neutral_had_frac])
+    hits = []
+    for i in range(n):
+        eta = jet_eta + offsets[i, 0]
+        dphi = jet_phi + offsets[i, 1]
+        phi = float(dphi - 2.0 * math.pi * np.floor((dphi + math.pi) / (2.0 * math.pi)))
+        pt = float(jet_pt * fractions[i])
+        if species[i] == 0:
+            hits += [(eta, phi, pt, 0), (eta, phi, pt * 0.3, 1)]
+        else:
+            hits.append((eta, phi, pt, int(species[i])))
+    eta, phi, value, channel = zip(*hits)
+    return (np.array(eta, dtype=np.float64), np.array(phi, dtype=np.float64),
+            np.array(value, dtype=np.float64), np.array(channel, dtype=np.int64))
+
+
 # The sweep's earlier per-axis value parser and config edits, which every
 # axis value now replaces with a settings overlay through apply_settings.
 SWEEP_MODEL_SIZES = {"tiny": (32, 2, 2), "small": (64, 4, 4), "base": (128, 6, 8)}

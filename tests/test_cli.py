@@ -177,15 +177,62 @@ def _flat_dataset(path):
     return path
 
 
+def _split_with(tmp_path, data_dir, name, raw):
+    """A copy of the data directory whose ``name`` file holds ``raw``."""
+    split = tmp_path / "split"
+    split.mkdir()
+    for other in ("train.jqg", "val.jqg"):
+        (split / other).write_bytes((data_dir / other).read_bytes())
+    (split / name).write_bytes(raw)
+    return split
+
+
+def _eval_argv(tmp_path, data, stats="mu: 0 0 0\nsigma: 1 1 1\n"):
+    """eval of a checkpoint that is never read: the config, statistics and
+    data are checked first."""
+    (tmp_path / "run_config.txt").write_text("model = conv\n")
+    (tmp_path / "stats.txt").write_text(stats)
+    return ["eval", "--checkpoint", str(tmp_path / "model.ckpt"), "--data", str(data)]
+
+
 @pytest.mark.parametrize("case, code", [
     ("degenerate_channel", EXIT_NUMERIC),
     ("bad_magic", EXIT_DATA),
     ("missing_train", EXIT_DATA),
     ("set_without_equals", EXIT_USAGE),
+    ("label_byte_2", EXIT_DATA),
+    ("empty_val", EXIT_DATA),
+    ("eval_empty_data", EXIT_DATA),
+    ("eval_zero_sigma", EXIT_DATA),
+    ("stats_empty_train", EXIT_DATA),
 ])
 def test_error_exit_codes(case, code, data_dir, tmp_path, capsys):
     """Each failure class maps to its exit code and is reported once."""
-    if case == "degenerate_channel":
+    named = None  # the file the message must name
+    if case == "label_byte_2":
+        raw = bytearray((data_dir / "train.jqg").read_bytes())
+        raw[15] = 2  # the first sample's label, right after the 15-byte header
+        named = _split_with(tmp_path, data_dir, "train.jqg", bytes(raw)) / "train.jqg"
+        argv = ["train", "--data", str(named.parent), "--model", "conv",
+                "--out", str(tmp_path / "run")]
+    elif case == "empty_val":
+        write_dataset(tmp_path / "empty.jqg", [])
+        named = _split_with(tmp_path, data_dir, "val.jqg",
+                            (tmp_path / "empty.jqg").read_bytes()) / "val.jqg"
+        argv = ["train", "--data", str(named.parent), "--model", "conv",
+                "--out", str(tmp_path / "run")]
+    elif case == "eval_empty_data":
+        named = tmp_path / "empty.jqg"
+        write_dataset(named, [])
+        argv = _eval_argv(tmp_path, named)
+    elif case == "eval_zero_sigma":
+        argv = _eval_argv(tmp_path, data_dir / "val.jqg", stats="mu: 0 0 0\nsigma: 0 0 0\n")
+        named = tmp_path / "stats.txt"
+    elif case == "stats_empty_train":
+        named = tmp_path / "empty.jqg"
+        write_dataset(named, [])
+        argv = ["stats", "--train", str(named), "--out", str(tmp_path / "run")]
+    elif case == "degenerate_channel":
         argv = ["stats", "--train", str(_flat_dataset(tmp_path / "flat.jqg")),
                 "--out", str(tmp_path / "stats.txt")]
     elif case == "bad_magic":
@@ -200,6 +247,7 @@ def test_error_exit_codes(case, code, data_dir, tmp_path, capsys):
     assert main(argv) == code
     err = capsys.readouterr().err
     assert err.count("error: ") == 1 and err.endswith("\n")
+    assert named is None or str(named) in err
     assert not (tmp_path / "run").exists()
 
 

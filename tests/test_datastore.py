@@ -3,9 +3,9 @@ import struct
 import numpy as np
 import pytest
 
-from qgjet.datastore import (BadMagic, SizeMismatch, UnsupportedVersion, read_checkpoint,
-                             read_dataset, read_stats, write_checkpoint, write_dataset,
-                             write_stats)
+from qgjet.datastore import (BadMagic, DataFormatError, SizeMismatch, UnsupportedVersion,
+                             read_checkpoint, read_dataset, read_stats, write_checkpoint,
+                             write_dataset, write_stats)
 from qgjet.detector import JetWindow
 from qgjet.preprocess import ChannelStats
 
@@ -79,6 +79,31 @@ class TestRoundTrip:
         back = read_stats(tmp_path / "s.txt")
         assert back.mu.tobytes() == stats.mu.tobytes()
         assert back.sigma.tobytes() == stats.sigma.tobytes()
+
+
+class TestRejectedValues:
+    @pytest.mark.parametrize("sample", (0, 1))
+    @pytest.mark.parametrize("label", (2, 255))
+    def test_label_byte_other_than_0_or_1(self, tmp_path, dataset_bytes, sample, label):
+        raw = bytearray(dataset_bytes)
+        header = struct.calcsize("<4sHIHHB")
+        raw[header + sample * (1 + 4 * 3 * 2 * 3)] = label  # label byte, then [3,2,3] float32
+        path = tmp_path / "bad_label.jqg"
+        path.write_bytes(bytes(raw))
+        with pytest.raises(DataFormatError) as exc:
+            read_dataset(path)
+        assert str(path) in str(exc.value) and f"sample {sample}" in str(exc.value)
+
+    @pytest.mark.parametrize("text", (
+        "mu: 0 0 0\nsigma: 0 0 0\n", "mu: 0 0 0\nsigma: 1 -1 1\n",
+        "mu: nan 0 0\nsigma: 1 1 1\n", "mu: 0 0 0\nsigma: 1 inf 1\n",
+        "mu: -inf 0 0\nsigma: 1 1 1\n", "mu: 0 0 0\nsigma: 1 1 nan\n"))
+    def test_stats_must_be_finite_with_positive_sigma(self, tmp_path, text):
+        path = tmp_path / "s.txt"
+        path.write_text(text)
+        with pytest.raises(DataFormatError) as exc:
+            read_stats(path)
+        assert str(path) in str(exc.value)
 
 
 @pytest.mark.parametrize("kind", ("dataset", "checkpoint"))

@@ -5,58 +5,60 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qgjet.detector import (Channel, DetectorHit, EtaOutOfRange, FullDetectorImage,
-                            bin_hits, crop_jet_window, find_window_center, upsample_hcal,
-                            wrap_phi)
+from qgjet.detector import (Channel, EtaOutOfRange, bin_hits, crop_jet_window,
+                            find_window_center, upsample_hcal, wrap_phi)
 
 
-def make_hit(eta, phi, value, channel=Channel.ECAL):
-    return DetectorHit(eta, phi, value, channel)
+def hits(eta, phi, value, channel=Channel.ECAL):
+    """The four per-hit arrays ``bin_hits`` takes; a scalar channel applies
+    to every hit."""
+    eta = np.asarray(eta, dtype=np.float64)
+    return (eta, np.asarray(phi, dtype=np.float64), np.asarray(value, dtype=np.float64),
+            np.broadcast_to(np.asarray(channel, dtype=np.int64), eta.shape))
 
 
 class TestBinHits:
     def test_single_ecal_hit(self):
-        image = bin_hits([make_hit(0.0, 0.0, 2.5)])
-        ecal = image.data[Channel.ECAL]
+        image = bin_hits(*hits([0.0], [0.0], [2.5]))
+        assert image.dtype == np.float32 and image.shape == (3, 280, 360)
+        ecal = image[Channel.ECAL]
         assert np.count_nonzero(ecal) == 1
         assert ecal.sum() == pytest.approx(2.5)
-        assert image.data[Channel.TRACK].sum() == 0
-        assert image.data[Channel.HCAL].sum() == 0
+        assert image[Channel.TRACK].sum() == 0
+        assert image[Channel.HCAL].sum() == 0
+
+    def test_no_hits_bin_to_an_empty_frame(self):
+        image = bin_hits(*hits([], [], []))
+        assert image.shape == (3, 280, 360) and not image.any()
 
     def test_same_cell_sums(self):
-        hits = [make_hit(0.5, 1.0, 1.0, Channel.TRACK),
-                make_hit(0.5, 1.0, 2.0, Channel.TRACK)]
-        image = bin_hits(hits)
-        track = image.data[Channel.TRACK]
+        image = bin_hits(*hits([0.5, 0.5], [1.0, 1.0], [1.0, 2.0], Channel.TRACK))
+        track = image[Channel.TRACK]
         assert track.max() == pytest.approx(3.0)
         assert np.count_nonzero(track) == 1
 
     def test_conservation_random_ecal(self):
         rng = np.random.default_rng(0)
-        hits = [make_hit(rng.uniform(-2.9, 2.9), rng.uniform(-3.1, 3.1), rng.uniform(0.1, 5.0))
-                for _ in range(100)]
-        image = bin_hits(hits)
-        total = sum(h.value for h in hits)
-        assert image.data[Channel.ECAL].sum() == pytest.approx(total, rel=1e-4)
+        values = rng.uniform(0.1, 5.0, size=100)
+        image = bin_hits(*hits(rng.uniform(-2.9, 2.9, size=100), rng.uniform(-3.1, 3.1, size=100),
+                               values))
+        assert image[Channel.ECAL].sum() == pytest.approx(values.sum(), rel=1e-4)
 
     def test_conservation_all_channels_native_hcal(self):
         rng = np.random.default_rng(1)
-        hits = []
-        for _ in range(300):
-            ch = Channel(rng.integers(0, 3))
-            hits.append(make_hit(rng.uniform(-2.99, 2.99), rng.uniform(-math.pi, math.pi),
-                                 rng.uniform(0.01, 10.0), ch))
-        image = bin_hits(hits)
+        channels = rng.integers(0, 3, size=300)
+        values = rng.uniform(0.01, 10.0, size=300)
+        image = bin_hits(*hits(rng.uniform(-2.99, 2.99, size=300),
+                               rng.uniform(-math.pi, math.pi, size=300), values, channels))
         for ch in (Channel.TRACK, Channel.ECAL):
-            expected = sum(h.value for h in hits if h.channel == ch)
-            assert image.data[ch].sum() == pytest.approx(expected, rel=1e-4)
-        expected = sum(h.value for h in hits if h.channel == Channel.HCAL)
-        assert image.hcal_native().sum() == pytest.approx(expected, rel=1e-4)
+            expected = values[channels == ch].sum()
+            assert image[ch].sum() == pytest.approx(expected, rel=1e-4)
+        expected = values[channels == Channel.HCAL].sum()
+        assert image[Channel.HCAL, ::5, ::5].sum() == pytest.approx(expected, rel=1e-4)
 
     def test_out_of_range_drops_silently(self):
-        hits = [make_hit(3.0, 0.0, 1.0), make_hit(-3.5, 0.0, 1.0), make_hit(0.0, 0.0, 1.0)]
-        image = bin_hits(hits)
-        assert image.data.sum() == pytest.approx(1.0)
+        image = bin_hits(*hits([3.0, -3.5, 0.0], [0.0, 0.0, 0.0], [1.0, 1.0, 1.0]))
+        assert image.sum() == pytest.approx(1.0)
 
     def test_phi_periodicity_bit_identical(self):
         rng = np.random.default_rng(2)
@@ -64,14 +66,13 @@ class TestBinHits:
         phis = rng.uniform(-3.1, 3.1, size=50)
         vals = rng.uniform(0.1, 4.0, size=50)
         for k in (-2, 1, 3):
-            base = bin_hits([make_hit(e, p, v) for e, p, v in zip(etas, phis, vals)])
-            shifted = bin_hits([make_hit(e, p + 2.0 * math.pi * k, v)
-                                for e, p, v in zip(etas, phis, vals)])
-            assert np.array_equal(base.data, shifted.data)
+            base = bin_hits(*hits(etas, phis, vals))
+            shifted = bin_hits(*hits(etas, phis + 2.0 * math.pi * k, vals))
+            assert np.array_equal(base, shifted)
 
     def test_phi_boundary_pi_folds_to_first_bin(self):
-        image = bin_hits([make_hit(0.0, math.pi, 1.0)])
-        row, col = np.argwhere(image.data[Channel.ECAL])[0]
+        image = bin_hits(*hits([0.0], [math.pi], [1.0]))
+        row, col = np.argwhere(image[Channel.ECAL])[0]
         assert col == 0
 
 
@@ -101,10 +102,10 @@ class TestUpsampleHcal:
             upsample_hcal(np.zeros((55, 72), dtype=np.float32))
 
 
-def image_with_hcal(native: np.ndarray) -> FullDetectorImage:
-    data = np.zeros((3, 280, 360), dtype=np.float32)
-    data[Channel.HCAL] = upsample_hcal(native)
-    return FullDetectorImage(data)
+def image_with_hcal(native: np.ndarray) -> np.ndarray:
+    image = np.zeros((3, 280, 360), dtype=np.float32)
+    image[Channel.HCAL] = upsample_hcal(native)
+    return image
 
 
 def exhaustive_center_scan(native, jet_eta, jet_phi):
@@ -174,14 +175,13 @@ class TestFindWindowCenter:
 class TestCropJetWindow:
     def _random_image(self, seed=6):
         rng = np.random.default_rng(seed)
-        data = rng.uniform(0, 2, size=(3, 280, 360)).astype(np.float32)
-        return FullDetectorImage(data)
+        return rng.uniform(0, 2, size=(3, 280, 360)).astype(np.float32)
 
     def test_wrap_at_column_zero(self):
         image = self._random_image()
         window = crop_jet_window(image, (140, 0))
         expected_cols = list(range(298, 360)) + list(range(0, 63))
-        assert np.array_equal(window.data, image.data[:, 78:203, :][:, :, expected_cols])
+        assert np.array_equal(window.data, image[:, 78:203, :][:, :, expected_cols])
 
     def test_eta_boundary(self):
         image = self._random_image()
@@ -194,7 +194,7 @@ class TestCropJetWindow:
 
     def test_wraparound_equals_tiled_oracle(self):
         image = self._random_image(seed=7)
-        tiled = np.concatenate([image.data, image.data], axis=2)
+        tiled = np.concatenate([image, image], axis=2)
         for center_col in (0, 5, 355, 359, 180):
             window = crop_jet_window(image, (140, center_col))
             start = (center_col - 62) % 360
@@ -202,10 +202,9 @@ class TestCropJetWindow:
             assert np.array_equal(window.data, oracle)
 
     def test_seam_deposit_conserved(self):
-        data = np.zeros((3, 280, 360), dtype=np.float32)
-        data[Channel.ECAL, 140, 359] = 4.25
-        data[Channel.ECAL, 140, 0] = 1.75
-        image = FullDetectorImage(data)
+        image = np.zeros((3, 280, 360), dtype=np.float32)
+        image[Channel.ECAL, 140, 359] = 4.25
+        image[Channel.ECAL, 140, 0] = 1.75
         window = crop_jet_window(image, (140, 0))
         assert window.data[Channel.ECAL].sum() == pytest.approx(6.0)
 
@@ -213,7 +212,7 @@ class TestCropJetWindow:
         image = self._random_image(seed=8)
         window = crop_jet_window(image, (100, 42))
         for ch in range(3):
-            assert window.data[ch].sum() <= image.data[ch].sum() + 1e-3
+            assert window.data[ch].sum() <= image[ch].sum() + 1e-3
 
 
 @settings(max_examples=30, deadline=None)

@@ -31,6 +31,24 @@ def test_instrument_installs_and_restores(monkeypatch):
     assert [dict(vars(o)) for o in owners] == before
 
 
+def test_detector_spans_fire(monkeypatch):
+    """The traced run's synth and detector spans each count one call per
+    accepted window, so their per-layer metrics cannot silently read 0."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    layers = importlib.import_module("layers")
+    spans = importlib.import_module("spans")
+    inst = layers.Instrument()
+    inst.install()
+    try:
+        synth.generate_dataset(synth.preset("easy", seed=1), 2)
+    finally:
+        inst.restore()
+    calls = {name: n for name, (n, _, _) in spans.summarize(inst.tracer.spans).items()}
+    for name in ("synth.sample_jet", "detector.bin_hits", "detector.find_window_center",
+                 "detector.crop_jet_window"):
+        assert calls.get(name) == 4, name
+
+
 def _qgjet_references(path: Path):
     """(module name, attribute) for each qgjet name the file imports or reads
     off an imported qgjet module."""

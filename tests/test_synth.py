@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from oracles import per_particle_hits
 from qgjet.detector import Channel, GLUON, QUARK
 from qgjet.rng import stream
 from qgjet.synth import (CHARGED_ECAL_FRACTION, JetEvent, SynthConfig,
@@ -36,27 +37,35 @@ class TestSampleJet:
     def test_degenerate_single_particle_on_axis(self):
         cfg = SynthConfig(mean_mult_quark=1e-9, width_quark=1e-12)
         event = sample_jet(cfg, QUARK, stream(0, "event", QUARK, 0))
-        charged = [h for h in event.hits if h.channel == Channel.TRACK]
-        assert len(event.hits) in (1, 2)  # one particle, maybe with ECAL leakage
-        hit = event.hits[0]
-        assert hit.eta == pytest.approx(event.true_eta, abs=1e-9)
+        assert len(event.eta) in (1, 2)  # one particle, maybe with ECAL leakage
+        assert event.eta[0] == pytest.approx(event.true_eta, abs=1e-9)
 
     def test_determinism_same_stream(self):
         cfg = preset("easy", seed=5)
         a = sample_jet(cfg, GLUON, stream(cfg.seed, "event", GLUON, 3))
         b = sample_jet(cfg, GLUON, stream(cfg.seed, "event", GLUON, 3))
         assert a.jet_pt == b.jet_pt and a.true_eta == b.true_eta
-        assert len(a.hits) == len(b.hits)
-        for ha, hb in zip(a.hits, b.hits):
-            assert ha == hb
+        for field in ("eta", "phi", "value", "channel"):
+            assert getattr(a, field).tobytes() == getattr(b, field).tobytes()
+
+    @pytest.mark.parametrize("name", ("easy", "paperlike", "hard"))
+    def test_matches_per_particle_loop(self, name):
+        cfg = preset(name, seed=3)
+        for label in (GLUON, QUARK):
+            for attempt in range(100):
+                event = sample_jet(cfg, label, stream(cfg.seed, "event", label, attempt))
+                want = per_particle_hits(cfg, label, stream(cfg.seed, "event", label, attempt))
+                got = (event.eta, event.phi, event.value, event.channel)
+                for g, w in zip(got, want):
+                    assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
 
     def test_gluon_multiplicity_poisson_statistics(self):
         cfg = preset("easy", seed=9)
         counts = []
         for i in range(10_000):
             event = sample_jet(cfg, GLUON, stream(cfg.seed, "event", GLUON, i))
-            n_track = sum(1 for h in event.hits if h.channel == Channel.TRACK)
-            counts.append(len(event.hits) - n_track)  # charged particles hit twice
+            n_track = np.count_nonzero(event.channel == Channel.TRACK)
+            counts.append(len(event.eta) - n_track)  # charged particles hit twice
         se = math.sqrt(27.0 / 10_000)
         assert abs(np.mean(counts) - 27.0) < 3 * se
 
@@ -64,29 +73,32 @@ class TestSampleJet:
         cfg = preset("easy", seed=1)
         for i in range(50):
             event = sample_jet(cfg, GLUON, stream(cfg.seed, "event", GLUON, i))
-            for h in event.hits:
-                dphi = (h.phi - event.true_phi + math.pi) % (2 * math.pi) - math.pi
-                assert math.hypot(h.eta - event.true_eta, dphi) < 1.0
+            dphi = (event.phi - event.true_phi + math.pi) % (2 * math.pi) - math.pi
+            assert np.all(np.hypot(event.eta - event.true_eta, dphi) < 1.0)
 
     def test_charged_particles_leave_track_and_ecal(self):
         cfg = SynthConfig(charged_frac=1.0, photon_frac=0.0, neutral_had_frac=0.0,
                           mean_mult_quark=5)
         event = sample_jet(cfg, QUARK, stream(0, "event", QUARK, 0))
-        tracks = [h for h in event.hits if h.channel == Channel.TRACK]
-        ecals = [h for h in event.hits if h.channel == Channel.ECAL]
-        assert len(tracks) == len(ecals) > 0
-        for t, e in zip(tracks, ecals):
-            assert e.value == pytest.approx(CHARGED_ECAL_FRACTION * t.value)
+        n = len(event.eta) // 2
+        assert n > 0
+        # each particle's ECAL leakage comes right after its track hit
+        assert event.channel.tolist() == [Channel.TRACK, Channel.ECAL] * n
+        np.testing.assert_allclose(event.value[1::2], CHARGED_ECAL_FRACTION * event.value[::2])
+        assert np.array_equal(event.eta[1::2], event.eta[::2])
+        assert np.array_equal(event.phi[1::2], event.phi[::2])
 
     def test_pt_shares_sum_to_jet_pt(self):
         cfg = SynthConfig(photon_frac=1.0, charged_frac=0.0, neutral_had_frac=0.0)
         event = sample_jet(cfg, QUARK, stream(2, "event", QUARK, 0))
-        assert sum(h.value for h in event.hits) == pytest.approx(event.jet_pt, rel=1e-9)
+        assert np.all(event.channel == Channel.ECAL)
+        assert event.value.sum() == pytest.approx(event.jet_pt, rel=1e-9)
 
 
 class TestApplySelection:
     def _event(self, pt, eta):
-        return JetEvent([], eta, 0.0, QUARK, pt)
+        none = np.zeros(0)
+        return JetEvent(none, none, none, none.astype(np.int64), eta, 0.0, QUARK, pt)
 
     def test_pt_boundary_strict(self):
         assert apply_selection(self._event(70.0, 0.0)) is False
