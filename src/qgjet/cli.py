@@ -125,15 +125,23 @@ def _cmd_stats(args) -> int:
     return EXIT_OK
 
 
-def _read_windows(path):
-    """The windows of a dataset file that exists and holds at least one."""
+def _read_windows(path, scored=False):
+    """The windows of a dataset file that exists and holds at least one, each
+    of shape (3, WINDOW_SIZE, WINDOW_SIZE); a ``scored`` file's AUC needs both
+    classes."""
     from .datastore import DataFormatError, read_dataset
+    from .detector import WINDOW_SIZE
 
     if not os.path.exists(path):
         raise FileNotFoundError(f"expected dataset at {path}")
     windows = read_dataset(path)
     if not windows:
         raise DataFormatError(f"{path} holds no windows")
+    shape, expected = windows[0].data.shape, (3, WINDOW_SIZE, WINDOW_SIZE)
+    if shape != expected:
+        raise DataFormatError(f"{path} holds windows of shape {shape}, not {expected}")
+    if scored and len({w.label for w in windows}) < 2:
+        raise DataFormatError(f"{path} holds one class only; scoring needs both")
     return windows
 
 
@@ -143,8 +151,8 @@ def _load_split(data_dir: str):
     from .datastore import read_stats
     from .preprocess import compute_channel_stats
 
-    train_windows, val_windows = (_read_windows(osp.join(data_dir, f"{split}.jqg"))
-                                  for split in ("train", "val"))
+    train_windows = _read_windows(osp.join(data_dir, "train.jqg"))
+    val_windows = _read_windows(osp.join(data_dir, "val.jqg"), scored=True)
     stats_path = osp.join(data_dir, "stats.txt")
     stats = read_stats(stats_path) if osp.exists(stats_path) else compute_channel_stats(train_windows)
     return train_windows, val_windows, stats
@@ -270,7 +278,7 @@ def _cmd_eval(args) -> int:
 
     stats_path = args.stats or osp.join(osp.dirname(args.checkpoint) or ".", "stats.txt")
     stats = read_stats(stats_path)
-    windows = _read_windows(args.data)
+    windows = _read_windows(args.data, scored=True)
 
     model = build_model(model_kind, aug_cfg.out_size, stream(0, "init"), **kwargs)
     state = read_checkpoint(args.checkpoint)
@@ -306,12 +314,12 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_render(args) -> int:
-    from .datastore import read_dataset, render_intensity_map, write_pgm
+    from .datastore import render_intensity_map, write_pgm
     from .detector import Channel, GLUON, QUARK
 
     label = QUARK if args.label == "q" else GLUON
     channel = {"track": Channel.TRACK, "ecal": Channel.ECAL, "hcal": Channel.HCAL}[args.channel]
-    windows = [w for w in read_dataset(args.data) if w.label == label]
+    windows = [w for w in _read_windows(args.data) if w.label == label]
     if not windows:
         raise UsageError(f"no windows with label {args.label!r} in {args.data}")
     image = render_intensity_map(windows, channel, args.scale)

@@ -34,22 +34,17 @@ class ChannelStats:
     n_pixels: int
 
 
-def _window_array(window) -> np.ndarray:
-    return window.data if isinstance(window, JetWindow) else np.asarray(window)
-
-
 def compute_channel_stats(windows) -> ChannelStats:
     """Global per-channel mean and population std over zero-suppressed pixels.
 
-    Accepts any iterable of windows (JetWindow or [3,H,W] arrays) and merges
-    per-window blocks with Chan's update, so partial aggregates combine
-    deterministically.
+    Accepts any iterable of ``JetWindow``s and merges per-window blocks with
+    Chan's update, so partial aggregates combine deterministically.
     """
     n = 0
     mean = np.zeros(3, dtype=np.float64)
     m2 = np.zeros(3, dtype=np.float64)
     for window in windows:
-        x = zero_suppress(_window_array(window).astype(np.float64))
+        x = zero_suppress(window.data.astype(np.float64))
         x = x.reshape(3, -1)
         nb = x.shape[1]
         mean_b = x.mean(axis=1)
@@ -97,9 +92,9 @@ def minmax_scale(image: np.ndarray, eps: float = 1e-5) -> np.ndarray:
     return np.minimum(out, top)
 
 
-def preprocess_window(window, stats: ChannelStats) -> np.ndarray:
+def preprocess_window(window: JetWindow, stats: ChannelStats) -> np.ndarray:
     """Full chain in float64, emitted as float32 [3,125,125] within [0, 1)."""
-    x = _window_array(window).astype(np.float64)
+    x = window.data.astype(np.float64)
     x = zero_suppress(x)
     x = zscore_normalize(x, stats)
     x = clip_outliers(x, stats)

@@ -4,8 +4,8 @@ Gluon-like jets carry higher particle multiplicity and a wider angular
 spread than quark-like jets; the separability presets tune how far apart
 the two classes sit. An event is four per-hit arrays (eta, phi, value,
 channel) plus its jet axis, label and pT; the arrays go straight to
-``bin_hits``. Generation is a pure function of (config, event index): every
-event draws from its own counter-based stream.
+``bin_hits`` and ``crop_jet_window``. Generation is a pure function of
+(config, event index): every event draws from its own counter-based stream.
 """
 from __future__ import annotations
 
@@ -126,7 +126,7 @@ def generate_dataset(config: SynthConfig, n_per_class: int) -> list[JetWindow]:
     resampled, deterministically shuffled by the config seed.
 
     An event is rejected when it fails the selection or when its 125-pixel
-    crop cannot fit inside the eta range, which can happen for |eta| above
+    window cannot fit inside the eta range, which can happen for |eta| above
     about 1.29.
     """
     if n_per_class < 1:
@@ -141,10 +141,11 @@ def generate_dataset(config: SynthConfig, n_per_class: int) -> list[JetWindow]:
             event = sample_jet(config, label, rng)
             if not apply_selection(event):
                 continue
-            image = bin_hits(event.eta, event.phi, event.value, event.channel)
-            center = find_window_center(image, event.true_eta, event.true_phi)
+            hits = event.eta, event.phi, event.value, event.channel
+            towers = bin_hits(*hits)
+            center = find_window_center(towers, event.true_eta, event.true_phi)
             try:
-                window = crop_jet_window(image, center)
+                window = crop_jet_window(*hits, towers, center)
             except EtaOutOfRange:
                 continue
             window.label = label

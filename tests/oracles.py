@@ -261,6 +261,55 @@ def per_particle_hits(config, label: int, rng: np.random.Generator):
             np.array(value, dtype=np.float64), np.array(channel, dtype=np.int64))
 
 
+# The dense detector path that ``qgjet.detector`` replaced with tower-grid
+# binning and direct window binning: every hit summed into a full float64
+# [3, 280, 360] frame, HCAL summed on its 56x72 towers and upsampled by
+# ``np.repeat``, the frame cast to float32, the centre picked on the strided
+# tower slice of that frame, and the window cropped out of it. The library
+# must match it bit for bit.
+
+def dense_jet_window(eta, phi, value, channel, jet_eta, jet_phi, center=None):
+    """(towers, center, window) of one event through the dense frame.
+
+    ``towers`` is the frame's HCAL channel read one pixel per tower, and
+    ``center`` the hottest tower's centre pixel near the jet axis unless
+    given. ``window`` is the float32 [3, 125, 125] crop around ``center``,
+    or None when the crop would leave the eta range.
+    """
+    def eta_bin(e, n):
+        return np.minimum(np.floor((e + 3.0) * (n / 6.0)).astype(np.int64), n - 1)
+
+    def phi_bin(p, n):
+        wrapped = p - 2.0 * math.pi * np.floor((p + math.pi) / (2.0 * math.pi))
+        return np.minimum(np.floor((wrapped + math.pi) * (n / (2.0 * math.pi))).astype(np.int64),
+                          n - 1)
+
+    frame = np.zeros((3, 280, 360), dtype=np.float64)
+    native = np.zeros((56, 72), dtype=np.float64)
+    for ch, grid in ((0, frame[0]), (1, frame[1]), (2, native)):
+        sel = (np.abs(eta) < 3.0) & (channel == ch)
+        n_eta, n_phi = grid.shape
+        np.add.at(grid, (eta_bin(eta[sel], n_eta), phi_bin(phi[sel], n_phi)), value[sel])
+    frame[2] = np.repeat(np.repeat(native, 5, axis=0), 5, axis=1)
+    frame = frame.astype(np.float32)
+    towers = frame[2, ::5, ::5]
+
+    if center is None:
+        trow = int(eta_bin(np.float64(jet_eta), 56))
+        tcol = int(phi_bin(np.float64(jet_phi), 72))
+        cells = [(r, c) for r in range(max(0, trow - 4), min(56, trow + 5))
+                 for c in sorted((tcol + dc) % 72 for dc in range(-4, 5))]
+        r, c = max(cells, key=lambda rc: towers[rc])  # the first of equal maxima
+        if towers[r, c] == 0.0:
+            r, c = trow, tcol
+        center = (5 * r + 2, 5 * c + 2)
+    row, col = center
+    if not 62 <= row <= 217:
+        return towers, center, None
+    cols = np.arange(col - 62, col + 63) % 360
+    return towers, center, frame[:, row - 62:row + 63, :][:, :, cols]
+
+
 # The sweep's earlier per-axis value parser and config edits, which every
 # axis value now replaces with a settings overlay through apply_settings.
 SWEEP_MODEL_SIZES = {"tiny": (32, 2, 2), "small": (64, 4, 4), "base": (128, 6, 8)}

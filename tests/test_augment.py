@@ -14,6 +14,7 @@ from qgjet.augment import (IMAGENET_MEAN, IMAGENET_STD, AugmentConfig, _hsv_to_r
                            random_hflip, random_resized_crop, random_rotate,
                            rotate_by, sample_crop_rect, to_float, to_uint8,
                            train_transform, validation_transform)
+from qgjet.detector import JetWindow
 from qgjet.preprocess import compute_channel_stats
 from qgjet.rng import stream
 
@@ -265,7 +266,7 @@ class TestTransforms:
 
     def test_constant_zero_window_constant_output(self, window_fixture):
         _, stats = window_fixture
-        window = np.zeros((3, 125, 125), dtype=np.float32)
+        window = JetWindow(np.zeros((3, 125, 125), dtype=np.float32))
         out = validation_transform(window, stats, CFG64)
         for ch in range(3):
             assert np.all(out[ch] == out[ch, 0, 0])

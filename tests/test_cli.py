@@ -6,7 +6,7 @@ import pytest
 from oracles import straightline_intensity_pgm
 from qgjet.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 from qgjet.datastore import read_checkpoint, read_dataset, write_checkpoint, write_dataset
-from qgjet.detector import GLUON, QUARK, Channel
+from qgjet.detector import GLUON, QUARK, Channel, JetWindow
 
 
 @pytest.fixture(scope="module")
@@ -169,9 +169,6 @@ def test_removed_command_and_flag_are_usage_errors(argv):
 
 
 def _flat_dataset(path):
-    from qgjet.datastore import write_dataset
-    from qgjet.detector import JetWindow
-
     flat = np.zeros((3, 125, 125), dtype=np.float32)
     write_dataset(path, [JetWindow(flat, label=0), JetWindow(flat, label=1)])
     return path
@@ -205,6 +202,10 @@ def _eval_argv(tmp_path, data, stats="mu: 0 0 0\nsigma: 1 1 1\n"):
     ("eval_empty_data", EXIT_DATA),
     ("eval_zero_sigma", EXIT_DATA),
     ("stats_empty_train", EXIT_DATA),
+    ("val_window_shape", EXIT_DATA),
+    ("render_window_shape", EXIT_DATA),
+    ("val_one_class", EXIT_DATA),
+    ("eval_one_class", EXIT_DATA),
 ])
 def test_error_exit_codes(case, code, data_dir, tmp_path, capsys):
     """Each failure class maps to its exit code and is reported once."""
@@ -232,6 +233,25 @@ def test_error_exit_codes(case, code, data_dir, tmp_path, capsys):
         named = tmp_path / "empty.jqg"
         write_dataset(named, [])
         argv = ["stats", "--train", str(named), "--out", str(tmp_path / "run")]
+    elif case in ("val_window_shape", "val_one_class"):
+        # 3x20x20 windows of both classes, or the val windows that are quarks
+        windows = ([JetWindow(np.zeros((3, 20, 20), np.float32), label) for label in (0, 1)]
+                   if case == "val_window_shape" else
+                   [w for w in read_dataset(data_dir / "val.jqg") if w.label == QUARK])
+        write_dataset(tmp_path / "odd.jqg", windows)
+        named = _split_with(tmp_path, data_dir, "val.jqg",
+                            (tmp_path / "odd.jqg").read_bytes()) / "val.jqg"
+        argv = ["train", "--data", str(named.parent), "--model", "conv",
+                "--out", str(tmp_path / "run"), "--set", "seeds=1", *TINY]
+    elif case == "render_window_shape":
+        named = tmp_path / "small.jqg"
+        write_dataset(named, [JetWindow(np.ones((3, 20, 20), np.float32), 1)])
+        argv = ["render", "--data", str(named), "--label", "q", "--channel", "ecal",
+                "--out", str(tmp_path / "run")]
+    elif case == "eval_one_class":
+        named = tmp_path / "quarks.jqg"
+        write_dataset(named, [w for w in read_dataset(data_dir / "val.jqg") if w.label == QUARK])
+        argv = _eval_argv(tmp_path, named)
     elif case == "degenerate_channel":
         argv = ["stats", "--train", str(_flat_dataset(tmp_path / "flat.jqg")),
                 "--out", str(tmp_path / "stats.txt")]

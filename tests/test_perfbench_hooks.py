@@ -7,6 +7,7 @@ nothing in it."""
 import ast
 import importlib
 import inspect
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -32,21 +33,35 @@ def test_instrument_installs_and_restores(monkeypatch):
 
 
 def test_detector_spans_fire(monkeypatch):
-    """The traced run's synth and detector spans each count one call per
-    accepted window, so their per-layer metrics cannot silently read 0."""
+    """The traced run's synth span counts every sampled event, and each
+    detector span one call per event that passes ``apply_selection``, so a
+    per-call time means the same whether or not the crop then rejects the
+    event, and no per-layer metric can silently read 0. Seed 7 over
+    |eta| < 1.79 has a window that leaves the eta range, so it is rejected."""
     monkeypatch.syspath_prepend(str(PERFBENCH))
     layers = importlib.import_module("layers")
     spans = importlib.import_module("spans")
-    inst = layers.Instrument()
-    inst.install()
-    try:
-        synth.generate_dataset(synth.preset("easy", seed=1), 2)
-    finally:
-        inst.restore()
-    calls = {name: n for name, (n, _, _) in spans.summarize(inst.tracer.spans).items()}
-    for name in ("synth.sample_jet", "detector.bin_hits", "detector.find_window_center",
-                 "detector.crop_jet_window"):
-        assert calls.get(name) == 4, name
+    select, selected = synth.apply_selection, []
+
+    def counted(event):
+        selected.append(select(event))
+        return selected[-1]
+
+    monkeypatch.setattr(synth, "apply_selection", counted)
+    wide = replace(synth.preset("easy", seed=7), jet_eta_range=(-1.79, 1.79))
+    for config, rejected in ((synth.preset("easy", seed=1), 0), (wide, 1)):
+        selected.clear()
+        inst = layers.Instrument()
+        inst.install()
+        try:
+            windows = synth.generate_dataset(config, 2)
+        finally:
+            inst.restore()
+        calls = {name: n for name, (n, _, _) in spans.summarize(inst.tracer.spans).items()}
+        assert calls.get("synth.sample_jet") == len(selected)
+        for name in ("detector.bin_hits", "detector.find_window_center",
+                     "detector.crop_jet_window"):
+            assert calls.get(name) == sum(selected) == len(windows) + rejected, name
 
 
 def _qgjet_references(path: Path):

@@ -21,7 +21,7 @@ def stats_of(mu, sigma):
 def random_window(rng, scale=5.0):
     data = rng.uniform(0, scale, size=(3, 125, 125)).astype(np.float32)
     data[data < rng.uniform(0, scale * 0.8)] = 0.0  # sparse, like real deposits
-    return data
+    return JetWindow(data)
 
 
 class TestStageDefaults:
@@ -37,14 +37,14 @@ class TestStageDefaults:
 
 class TestComputeChannelStats:
     def test_constant_channel_degenerate(self):
-        window = np.full((3, 125, 125), 2.0, dtype=np.float32)
+        window = JetWindow(np.full((3, 125, 125), 2.0, dtype=np.float32))
         with pytest.raises(DegenerateChannel):
             compute_channel_stats([window])
 
     def test_hand_computation(self):
         window = np.zeros((3, 2, 2), dtype=np.float64)
         window[:] = np.array([0.0, 0.0, 4.0, 4.0]).reshape(2, 2)
-        stats = compute_channel_stats([window])
+        stats = compute_channel_stats([JetWindow(window)])
         assert stats.mu == pytest.approx([2.0, 2.0, 2.0])
         assert stats.sigma == pytest.approx([2.0, 2.0, 2.0])
 
@@ -52,14 +52,14 @@ class TestComputeChannelStats:
         window = np.zeros((3, 1, 2), dtype=np.float64)
         window[:, 0, 0] = 5e-4   # below threshold: suppressed to 0
         window[:, 0, 1] = 2.0
-        stats = compute_channel_stats([window])
+        stats = compute_channel_stats([JetWindow(window)])
         assert stats.mu == pytest.approx([1.0] * 3)
 
     def test_matches_two_pass_oracle(self):
         rng = np.random.default_rng(0)
         windows = [random_window(rng) for _ in range(500)]
         stats = compute_channel_stats(windows)
-        mu, sigma = two_pass_channel_stats(np.stack(windows))
+        mu, sigma = two_pass_channel_stats(np.stack([w.data for w in windows]))
         assert stats.mu == pytest.approx(mu, rel=1e-10)
         assert stats.sigma == pytest.approx(sigma, rel=1e-10)
 
@@ -159,14 +159,14 @@ class TestPreprocessWindow:
     def test_all_zero_window_uniform_stats(self):
         # zeros z-score to -mu_k/sigma_k; with uniform stats that is constant
         # across channels, so the joint min-max collapses to all zeros
-        out = preprocess_window(np.zeros((3, 125, 125), dtype=np.float32),
+        out = preprocess_window(JetWindow(np.zeros((3, 125, 125), dtype=np.float32)),
                                 stats_of([0.5] * 3, [2.0] * 3))
         assert np.all(out == 0.0)
 
     def test_all_zero_window_general_stats(self):
         # with per-channel stats the zero window maps to one constant per
         # channel, the smallest of which lands exactly at 0
-        out = preprocess_window(np.zeros((3, 125, 125), dtype=np.float32),
+        out = preprocess_window(JetWindow(np.zeros((3, 125, 125), dtype=np.float32)),
                                 stats_of([0.5, 1.0, 0.25], [2.0, 1.0, 0.5]))
         for ch in range(3):
             assert np.all(out[ch] == out[ch, 0, 0])
@@ -178,7 +178,7 @@ class TestPreprocessWindow:
         for _ in range(5):
             window = random_window(rng)
             ours = preprocess_window(window, stats)
-            oracle = straightline_preprocess(window, stats.mu, stats.sigma)
+            oracle = straightline_preprocess(window.data, stats.mu, stats.sigma)
             assert ours.dtype == oracle.dtype == np.float32
             assert np.array_equal(ours, oracle)
 
@@ -206,13 +206,13 @@ class TestPreprocessWindow:
         rng = np.random.default_rng(8)
         stats = self._stats()
         for _ in range(20):
-            window = random_window(rng)
-            hot = np.unravel_index(rng.integers(window.size), window.shape)
-            window[hot] = 1.5 * window.max()
-            base = np.argmax(preprocess_window(window, stats))
-            assert base == np.ravel_multi_index(hot, window.shape)
+            data = random_window(rng).data
+            hot = np.unravel_index(rng.integers(data.size), data.shape)
+            data[hot] = 1.5 * data.max()
+            base = np.argmax(preprocess_window(JetWindow(data), stats))
+            assert base == np.ravel_multi_index(hot, data.shape)
             for c in (2.0, 3.0, 10.0):
-                assert np.argmax(preprocess_window(window * c, stats)) == base
+                assert np.argmax(preprocess_window(JetWindow(data * c), stats)) == base
 
     def test_within_channel_order_preserved(self):
         rng = np.random.default_rng(10)
@@ -220,11 +220,13 @@ class TestPreprocessWindow:
         window = random_window(rng)
         out = preprocess_window(window, stats)
         for ch in range(3):
-            assert np.argmax(out[ch]) == np.argmax(window[ch])
+            assert np.argmax(out[ch]) == np.argmax(window.data[ch])
 
     def test_accepts_jet_window(self):
+        """The label rides along and changes nothing."""
         rng = np.random.default_rng(9)
         stats = self._stats()
-        window = JetWindow(random_window(rng), label=1)
-        out = preprocess_window(window, stats)
+        window = random_window(rng)
+        out = preprocess_window(JetWindow(window.data, label=1), stats)
         assert out.shape == (3, 125, 125)
+        assert out.tobytes() == preprocess_window(window, stats).tobytes()
