@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 from oracles import grad_check, sum_
 from qgjet import autodiff as ad
-from qgjet.autodiff import EVAL, TRAIN, ParameterRegistry, Tape, Tensor
+from qgjet.autodiff import EVAL, TRAIN, ParameterRegistry, Tape, Tensor, _accum
 
 
 def t64(arr, grad=True):
@@ -329,6 +330,41 @@ class TestBackward:
             loss = sum_(ad.add(ad.mul(x, x), x))  # x^2 + x -> 2x + 1
         ad.backward(tape, loss)
         assert x.grad == pytest.approx([7.0])
+
+
+    def test_backward_consumes_the_tape(self):
+        rng = np.random.default_rng(21)
+        x, w = rand64(rng, (4, 6)), rand64(rng, (6, 3))
+        with Tape() as tape:
+            h = ad.gelu(ad.matmul(x, w))
+            loss = sum_(h)
+        activation = weakref.ref(h.data)
+        del h
+        ad.backward(tape, loss)
+        assert tape.nodes == []
+        # the caller still holds the loss, but no intermediate output
+        assert activation() is None and loss.grad is not None
+
+    @pytest.mark.parametrize("layout", ("transposed", "broadcast"))
+    def test_first_gradient_is_a_c_contiguous_copy(self, layout):
+        """The first gradient is stored as a C-ordered copy in the tensor's
+        dtype, equal to what zero-filling and adding would give. Signed zeros
+        may differ: the copy keeps the -0.0 that relu's backward makes from a
+        negative upstream gradient, where 0.0 + g gives +0.0. Both update the
+        weights alike, so the comparison is ``np.array_equal``."""
+        rng = np.random.default_rng(22)
+        t = Tensor(np.ones((3, 4), dtype=np.float32), requires_grad=True)
+        if layout == "transposed":
+            g = rng.normal(size=(4, 3)).T  # float64 and F-ordered
+        else:
+            row = rng.normal(size=4) * np.array([1.0, 0.0, 1.0, 1.0])
+            g = np.broadcast_to(-np.abs(row) * (row > 0), (3, 4))  # stride-0 rows with -0.0
+        expected = np.zeros_like(t.data)
+        expected += g
+        _accum(t, g)
+        assert t.grad.dtype == np.float32 and t.grad.flags.c_contiguous
+        assert np.array_equal(t.grad, expected)
+        assert not np.shares_memory(t.grad, g)
 
 
 class TestStructuralOps:

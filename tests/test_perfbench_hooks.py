@@ -10,9 +10,11 @@ import inspect
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from qgjet import augment, autodiff, datastore, optim, preprocess, synth, train
+from qgjet import augment, autodiff, datastore, models, optim, preprocess, synth, train
+from qgjet.rng import stream
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -30,6 +32,29 @@ def test_instrument_installs_and_restores(monkeypatch):
     finally:
         inst.restore()
     assert [dict(vars(o)) for o in owners] == before
+
+
+def test_traced_vit_step_counts_no_float64_node(monkeypatch):
+    """The traced run's ``autodiff.nodes_float64`` reads 0 for a float32
+    ViT training step, and its tape count sees every node before
+    ``backward`` consumes the tape."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    layers = importlib.import_module("layers")
+    model = models.build_model("vit", 32, stream(0, "init"),
+                               vit_cfg=models.ViTConfig(embed_dim=16, depth=2, heads=2))
+    images = autodiff.Tensor(stream(1, "images").random((2, 3, 32, 32), dtype=np.float32))
+    inst = layers.Instrument()
+    inst.install()
+    try:
+        with autodiff.Tape() as tape:
+            logits = model.forward(images, autodiff.TRAIN, stream(1, "dropout"))
+            loss = autodiff.cross_entropy_soft(logits, autodiff.Tensor(np.eye(2, dtype=np.float32)))
+        autodiff.backward(tape, loss)
+    finally:
+        inst.restore()
+    metrics = layers.per_layer(inst, {})
+    assert metrics["autodiff.tape_nodes"] > 50
+    assert metrics["autodiff.nodes_float64"] == 0
 
 
 def test_detector_spans_fire(monkeypatch):

@@ -10,21 +10,23 @@ from qgjet.synth import generate_dataset, preset
 from qgjet.train import TrainConfig, fit
 
 
-def _small_model(kind):
-    return build_model(kind, 32, stream(0, "init"), vit_cfg=ViTConfig(embed_dim=16, depth=3, heads=2),
+def _small_model(kind, dtype=np.float32):
+    return build_model(kind, 32, stream(0, "init"), dtype,
+                       vit_cfg=ViTConfig(embed_dim=16, depth=3, heads=2),
                        conv_cfg=ConvConfig(widths=(4, 8, 8)))
 
 
-def _train_step(model) -> int:
-    """One forward and backward pass on a fixed batch; returns the tape length."""
-    images = ad.Tensor(stream(1, "images").random((2, 3, 32, 32), dtype=np.float32))
-    labels = ad.Tensor(np.eye(2, dtype=np.float32))
+def _train_step(model, dtype=np.float32) -> list[np.dtype]:
+    """One forward and backward pass on a fixed batch of ``dtype``; returns
+    the dtype of each tape node's output."""
+    images = ad.Tensor(stream(1, "images").random((2, 3, 32, 32), dtype=dtype))
+    labels = ad.Tensor(np.eye(2, dtype=dtype))
     with ad.Tape() as tape:
         logits = model.forward(images, ad.TRAIN, stream(1, "dropout"))
         loss = ad.cross_entropy_soft(logits, labels)
-    n_nodes = len(tape.nodes)  # counted before backward, which may free the tape
+    dtypes = [out.dtype for out, _ in tape.nodes]  # read before backward frees the tape
     ad.backward(tape, loss)
-    return n_nodes
+    return dtypes
 
 
 @pytest.mark.parametrize("kind", ("vit", "conv", "hybrid3"))
@@ -32,13 +34,13 @@ def test_frozen_backbone_stays_off_the_tape(kind):
     """Turning ``requires_grad`` off on every backbone tensor of a real model
     drops the backbone's ops from the tape and leaves its gradients unset."""
     trained = _small_model(kind)
-    n_trained = _train_step(trained)
+    n_trained = len(_train_step(trained))
     frozen = _small_model(kind)
     backbone = [name for name, _ in frozen.registry.items() if not name.startswith("head.")]
     assert 0 < len(backbone) < len(list(frozen.registry.items()))
     for name in backbone:
         frozen.registry[name].requires_grad = False
-    n_frozen = _train_step(frozen)
+    n_frozen = len(_train_step(frozen))
 
     assert n_frozen < n_trained
     for name, tensor in frozen.registry.items():
@@ -46,6 +48,19 @@ def test_frozen_backbone_stays_off_the_tape(kind):
             assert tensor.grad is None, name
         else:  # the head sees the same activations, so its gradient is unchanged
             assert np.array_equal(tensor.grad, trained.registry[name].grad), name
+
+
+@pytest.mark.parametrize("dtype", (np.float32, np.float64))
+@pytest.mark.parametrize("kind", ("vit", "conv", "hybrid2", "hybrid3"))
+def test_every_tape_node_keeps_the_model_dtype(kind, dtype):
+    """A model built in ``dtype`` and fed ``dtype`` images computes every
+    activation, and every parameter gradient, in ``dtype``: no Python or
+    numpy scalar promotes a float32 step to float64."""
+    model = _small_model(kind, dtype)
+    dtypes = _train_step(model, dtype)
+    assert len(dtypes) > 10
+    assert [str(d) for d in dtypes if d != dtype] == []
+    assert [name for name, t in model.registry.items() if t.grad.dtype != dtype] == []
 
 
 @pytest.fixture(scope="module")
@@ -76,3 +91,28 @@ def test_every_parameter_trains_at_the_cosine_rate(split, kind):
     record, state, _ = fit(*split, kind, config, AugmentConfig(out_size=32), 1, model=model)
     assert [e.lr_head for e in record.epochs] == [cosine_lr(e, config.head_lr, 4) for e in (0, 1)]
     assert [name for name in start if np.array_equal(start[name], state[name])] == []
+
+
+@pytest.mark.parametrize("kind", ("vit", "conv", "hybrid2"))
+def test_float32_fit_tracks_a_float64_fit(split, kind, monkeypatch):
+    """The per-step training losses of a float32 fit stay within 1e-5
+    relative of a fit of a float64 copy of the same initial weights on the
+    same inputs. The float64 run is the reference: float32 rounding alone
+    moves a loss near 0.69 by about 1e-7 a step."""
+    losses, backward = [], ad.backward
+
+    def logged(tape, loss):
+        losses[-1].append(float(loss.data))
+        return backward(tape, loss)
+
+    monkeypatch.setattr(ad, "backward", logged)
+    config = TrainConfig(batch_size=4, max_epochs=2, seeds=(1,))
+    model = build_model(kind, 32, stream(1, "init"))
+    reference = build_model(kind, 32, stream(1, "init"), np.float64)
+    reference.registry.load_state_dict(model.registry.state_dict())
+    for m in (model, reference):
+        losses.append([])
+        fit(*split, kind, config, AugmentConfig(out_size=32), 1, model=m)
+    assert len(losses[0]) == 2 * 4  # 16 windows in batches of 4, twice
+    print(kind, np.max(np.abs(np.array(losses[0]) - losses[1]) / np.array(losses[1])))
+    assert losses[0] == pytest.approx(losses[1], rel=1e-5)
