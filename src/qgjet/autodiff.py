@@ -4,7 +4,9 @@ Operations record themselves onto the active :class:`Tape` (a Wengert list,
 appended in execution order, so topological order holds by construction).
 Without an active tape the same functions run as plain forward math, which
 is the evaluation path. Gradients accumulate into ``Tensor.grad``; callers
-zero them explicitly between optimizer steps.
+zero them explicitly between optimizer steps. :func:`backward` consumes the
+tape, releasing each node's output, gradient and closure once it has run, so
+a tape is swept only once.
 
 Compute defaults to float32; gradient verification (central differences on
 float64 tensors) lives with the tests, in ``tests/oracles.py``.
@@ -87,8 +89,11 @@ def _accum(t: Tensor, g: np.ndarray):
     if not t.requires_grad:
         return
     if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
+        # a C-ordered copy: a transposed gradient kept in F order would make
+        # the BLAS calls after it round differently
+        t.grad = np.array(np.broadcast_to(g, t.data.shape), dtype=t.data.dtype, order="C")
+    else:
+        t.grad += g
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
@@ -102,14 +107,17 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
 
 
 def backward(tape: Tape, loss: Tensor):
-    """Reverse sweep over the tape, accumulating gradients from ``loss``."""
+    """Reverse sweep over the tape, accumulating gradients from ``loss``.
+
+    Each node is popped before it runs, so the tape is empty afterwards."""
     if loss.size != 1:
         raise ValueError("backward expects a scalar loss")
     loss.grad = np.ones_like(loss.data)
-    for out, node_backward in reversed(tape.nodes):
-        if out.grad is None:
-            continue
-        node_backward(out.grad)
+    nodes = tape.nodes
+    while nodes:
+        out, node_backward = nodes.pop()
+        if out.grad is not None:
+            node_backward(out.grad)
 
 
 # ---------------------------------------------------------------------------
