@@ -73,10 +73,6 @@ class Tape:
         return False
 
 
-def _as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(np.asarray(x))
-
-
 def _record(out: Tensor, inputs: tuple[Tensor, ...], backward) -> Tensor:
     """Mark ``out`` differentiable and push the node if a tape is active."""
     if _active_tape is not None and any(t.requires_grad for t in inputs):
@@ -134,13 +130,22 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
 
 def mul(a, b) -> Tensor:
-    """Elementwise product; either operand may be a Python or numpy scalar."""
-    a, b = _as_tensor(a), _as_tensor(b)
+    """Elementwise product; either operand may be a Python or numpy scalar.
+
+    A scalar is cast to the dtype of the tensor it multiplies: as a 0-d
+    float64 array it would promote a float32 product, and every op after
+    it, to float64."""
+    if not isinstance(a, Tensor):
+        a = Tensor(np.asarray(a, dtype=b.dtype))
+    if not isinstance(b, Tensor):
+        b = Tensor(np.asarray(b, dtype=a.dtype))
     out = Tensor(a.data * b.data)
 
     def bwd(g):
-        _accum(a, _unbroadcast(g * b.data, a.shape))
-        _accum(b, _unbroadcast(g * a.data, b.shape))
+        if a.requires_grad:
+            _accum(a, _unbroadcast(g * b.data, a.shape))
+        if b.requires_grad:
+            _accum(b, _unbroadcast(g * a.data, b.shape))
 
     return _record(out, (a, b), bwd)
 
