@@ -250,7 +250,7 @@ def relu(x: Tensor) -> Tensor:
 
 def gelu(x: Tensor) -> Tensor:
     """tanh-approximate GELU (within 1e-3 absolute of the erf form)."""
-    u = _GELU_C * (x.data + _GELU_A * x.data ** 3)
+    u = _GELU_C * (x.data + _GELU_A * (x.data * x.data * x.data))  # np.power is ~100x slower
     th = np.tanh(u)
     out = Tensor(0.5 * x.data * (1.0 + th))
 

@@ -129,7 +129,9 @@ def test_generated_windows_golden(name, seed, eta_range):
 # unfreeze_schedule and staged_unfreezing lines removed, or exactly the
 # lr_unfrozen and trainable_params columns. Keeping the attention scale in
 # the model's dtype, so the vit and hybrid2 attention runs in float32, moved
-# only the vit and hybrid2 model_seed<N>.ckpt digests.
+# only the vit and hybrid2 model_seed<N>.ckpt digests. Computing GELU's
+# cube as a product rounds some values in the last bit, which moved the
+# same digests again, except vit's model_seed2.ckpt.
 
 CLI_CONFIG = """\
 # two short epochs, every parameter trained from the first step
@@ -155,7 +157,7 @@ CLI_DIGESTS = {
         "eval_seed1": "54ba5b6c72911350273d9945de0bce98c7167f149c1b049d7ff2f3b55bbaf765",
         "eval_seed2": "023f45662f887e6f13221a6f048de94cd8766e9e450beb27ab7fd091746dab6a",
         "metrics.csv": "f804810eb5393b3a167ac3c33130ce3f2019ebc1b5b28d7bd993aff76399178f",
-        "model_seed1.ckpt": "a034afa70ef755d8d4fc85ae33c9a4d5d1e84f5cbfa9b94e31ce6d4ac319bb84",
+        "model_seed1.ckpt": "01d848e43a6caed201269fe31c7328f8d94e888bd939cc200c741ae747ea9795",
         "model_seed2.ckpt": "2679f548424bd9c37340a2fb0405ccf3acbecaca2c3f78d3c87d5a8bec3ade4a",
         "run_config.txt": "dc9dfc33a281bc57bba098b96e347fcea5e2b37d4aa73b337f3e1f611c5cdc7d",
         "run_seed1.csv": "a6615df94d2d3ea791ccad3234eeab2548e88e6ef3794665abe6fa94488d1758",
@@ -165,8 +167,8 @@ CLI_DIGESTS = {
         "eval_seed1": "d082bd74beb23df8933338c98af81f985aae8a42c3169c3199310edbd8f7d7c0",
         "eval_seed2": "2b0c97b04aae68565ce4255de4e986aaaceaaf669b35bb2ddd0c3ab87bc34f58",
         "metrics.csv": "c4a878e0469479c59b434c6373de9c7ecb35ce2b53debbfca89529f9d811546f",
-        "model_seed1.ckpt": "3ee51200a3c12ae210501e905ab66c60c111c86417248b1ca218d49e2b66cc2c",
-        "model_seed2.ckpt": "35c4cbe23741c21a3bf33c50b1147b62b7665ca1e6cc8f3a70f012c889531185",
+        "model_seed1.ckpt": "1b24d9709d313d0fdb458072b07ed8daf2b281de68169010b23857e8d7f4b46b",
+        "model_seed2.ckpt": "2c724e603b6eeea44d099bf04ea20b76f3111a182dc3d04ad88a53d121a9b4a6",
         "run_config.txt": "dc005207d5a3a1f2445a68a978493df7c061ef40c33c5b9c3dd1e815d2bd932e",
         "run_seed1.csv": "f4d47d05c26f73e28629f677c9e17daeeffb4d56ca5ab8550c13f120c525564b",
         "run_seed2.csv": "2263a3e2f7c1078bffd59a0e971d902ba4c63cbd04cc6fbc4d8ba9447b559544",

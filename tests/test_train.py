@@ -95,10 +95,10 @@ def test_every_parameter_trains_at_the_cosine_rate(split, kind):
 
 @pytest.mark.parametrize("kind", ("vit", "conv", "hybrid2"))
 def test_float32_fit_tracks_a_float64_fit(split, kind, monkeypatch):
-    """The per-step training losses of a float32 fit stay within 1e-5
+    """The per-step training losses of a float32 fit stay within 2e-6
     relative of a fit of a float64 copy of the same initial weights on the
-    same inputs. The float64 run is the reference: float32 rounding alone
-    moves a loss near 0.69 by about 1e-7 a step."""
+    same inputs. The float64 run is the reference. Over these eight steps
+    float32 rounding moved the losses by at most 3.4e-7 relative (vit)."""
     losses, backward = [], ad.backward
 
     def logged(tape, loss):
@@ -114,5 +114,4 @@ def test_float32_fit_tracks_a_float64_fit(split, kind, monkeypatch):
         losses.append([])
         fit(*split, kind, config, AugmentConfig(out_size=32), 1, model=m)
     assert len(losses[0]) == 2 * 4  # 16 windows in batches of 4, twice
-    print(kind, np.max(np.abs(np.array(losses[0]) - losses[1]) / np.array(losses[1])))
-    assert losses[0] == pytest.approx(losses[1], rel=1e-5)
+    assert losses[0] == pytest.approx(losses[1], rel=2e-6)
