@@ -331,7 +331,6 @@ class TestBackward:
         ad.backward(tape, loss)
         assert x.grad == pytest.approx([7.0])
 
-
     def test_backward_consumes_the_tape(self):
         rng = np.random.default_rng(21)
         x, w = rand64(rng, (4, 6)), rand64(rng, (6, 3))
